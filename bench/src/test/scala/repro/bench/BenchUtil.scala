@@ -1,5 +1,6 @@
 package repro.bench
 
+import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Paths, StandardOpenOption}
 
 /** Bench suites print their table and persist it under bench/results/ so the
@@ -9,7 +10,7 @@ object BenchUtil {
   def record(name: String, content: String): Unit = {
     val dir = Paths.get(sys.props.getOrElse("bench.results.dir", "bench/results"))
     Files.createDirectories(dir)
-    Files.write(dir.resolve(s"$name.txt"), (content + "\n").getBytes,
+    Files.write(dir.resolve(s"$name.txt"), (content + "\n").getBytes(StandardCharsets.UTF_8),
       StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
     println(s"===== $name =====")
     println(content)

@@ -23,11 +23,13 @@ case class PsOpts(
 
 /** GraphTrainer in distributed mode (§3.3): the parameter-server pattern on
   * Spark primitives. The driver plays the server (it owns the parameters and
-  * the Adam state); partitions play the workers. Each synchronous step the
-  * parameters are broadcast, every worker decodes its partition of
-  * FlatExamples (the on-DFS triples), vectorizes local mini-batches, runs
-  * forward/backward, and the per-batch mean gradients are summed with
-  * `treeReduce` — data-parallelism is legal *because* GraphFlat made each
+  * the Adam state); partitions play the workers. Each worker decodes its
+  * shard of FlatExamples (the on-DFS triples) once per `train` call and keeps
+  * the decoded Examples cached, so only parameters and gradients move per
+  * step. Each synchronous step the parameters are broadcast, every worker
+  * shuffles its cached shard, vectorizes local mini-batches, runs
+  * forward/backward, and the driver sums the per-batch mean gradients in
+  * partition order — data-parallelism is legal *because* GraphFlat made each
   * example information-complete (Theorem 1), which is the paper's core
   * argument for reusing classic PS infrastructure.
   */
@@ -43,78 +45,88 @@ object PsTrainer {
     val sc = spark.sparkContext
     val rdd = trainSet.rdd
       .repartition(opts.numWorkers)
+      .map(_.decoded)
       .persist(StorageLevel.MEMORY_AND_DISK)
-    rdd.count()
+    // The decoded shard is released however train exits, so it cannot
+    // outlive this call and hold heap in later phases.
+    try {
+      require(rdd.count() > 0, "PsTrainer: the training set is empty")
 
-    val proto = Model.build(spec, opts.seed)
-    val params = proto.getParamsRef
-    val adam = new Adam(proto.paramShapes, opts.lr)
-    var bestVal = Double.NegativeInfinity
-    var bestParams = proto.getParams
-    val history = Vector.newBuilder[EpochStat]
-    val layers = spec.layers
-    val prune = opts.prune
-    val batchSize = opts.batchSize
-    val threads = opts.threadsPerWorker
-    val specB = spec
+      val proto = Model.build(spec, opts.seed)
+      val params = proto.getParamsRef
+      val adam = new Adam(proto.paramShapes, opts.lr)
+      var bestVal = Double.NegativeInfinity
+      var bestParams = proto.getParams
+      val history = Vector.newBuilder[EpochStat]
+      val layers = spec.layers
+      val prune = opts.prune
+      val batchSize = opts.batchSize
+      val threads = opts.threadsPerWorker
+      val specB = spec
 
-    for (epoch <- 1 to opts.epochs) {
-      val t0 = System.nanoTime()
-      val bc = sc.broadcast(proto.getParams)
-      val epochSeed = opts.seed + epoch
-      val (gradSum, lossSum, nExamples) = rdd
-        .mapPartitionsWithIndex { (pid, it) =>
-          val model = Model.build(specB, 0L)
-          model.setParams(bc.value)
-          val rng = new scala.util.Random(epochSeed * 1000003L + pid)
-          val exs = rng.shuffle(it.toList).map(_.decoded)
-          if (exs.isEmpty) Iterator.empty
-          else {
-            // per-batch losses/gradients are means over the batch; weight by
-            // batch size so the aggregate is the exact mean over all examples
-            // regardless of how repartition balanced the workers.
-            val acc = model.paramShapes.map(new Array[Double](_))
-            var loss = 0.0
-            var nEx = 0L
-            exs.grouped(batchSize).foreach { batch =>
-              val vb = Vectorize(batch, layers, prune)
-              val (l, g) = model.lossAndGrad(vb, threads)
-              val w = batch.length.toDouble
-              var p = 0
-              while (p < g.length) {
-                var i = 0
-                while (i < g(p).length) { g(p)(i) *= w; i += 1 }
-                p += 1
+      for (epoch <- 1 to opts.epochs) {
+        val t0 = System.nanoTime()
+        val bc = sc.broadcast(proto.getParams)
+        val epochSeed = opts.seed + epoch
+        // Worker results are summed at the driver in partition order, so a
+        // step does not depend on which worker finishes first (treeReduce
+        // merges in task-completion order, which can flip the last bits).
+        val (gradSum, lossSum, nExamples) = rdd
+          .mapPartitionsWithIndex { (pid, it) =>
+            val model = Model.build(specB, 0L)
+            model.setParams(bc.value)
+            val rng = new scala.util.Random(epochSeed * 1000003L + pid)
+            val exs = rng.shuffle(it.toList)
+            if (exs.isEmpty) Iterator.empty
+            else {
+              // per-batch losses/gradients are means over the batch; weight by
+              // batch size so the aggregate is the exact mean over all examples
+              // regardless of how repartition balanced the workers.
+              val acc = model.paramShapes.map(new Array[Double](_))
+              var loss = 0.0
+              var nEx = 0L
+              exs.grouped(batchSize).foreach { batch =>
+                val vb = Vectorize(batch, layers, prune)
+                val (l, g) = model.lossAndGrad(vb, threads)
+                val w = batch.length.toDouble
+                var p = 0
+                while (p < g.length) {
+                  var i = 0
+                  while (i < g(p).length) { g(p)(i) *= w; i += 1 }
+                  p += 1
+                }
+                addInto(acc, g)
+                loss += l * w; nEx += batch.length
               }
-              addInto(acc, g)
-              loss += l * w; nEx += batch.length
+              Iterator.single((acc, loss, nEx))
             }
-            Iterator.single((acc, loss, nEx))
           }
-        }
-        .treeReduce { case ((a1, l1, n1), (a2, l2, n2)) => addInto(a1, a2); (a1, l1 + l2, n1 + n2) }
+          .collect()
+          .reduce[(Array[Array[Double]], Double, Long)] { case ((a1, l1, n1), (a2, l2, n2)) =>
+            addInto(a1, a2); (a1, l1 + l2, n1 + n2)
+          }
 
-      val totalEx = math.max(nExamples, 1L)
-      var p = 0
-      while (p < gradSum.length) {
-        val g = gradSum(p)
-        var i = 0
-        while (i < g.length) { g(i) /= totalEx.toDouble; i += 1 }
-        p += 1
+        val totalEx = nExamples.toDouble
+        var p = 0
+        while (p < gradSum.length) {
+          val g = gradSum(p)
+          var i = 0
+          while (i < g.length) { g(i) /= totalEx; i += 1 }
+          p += 1
+        }
+        adam.step(params, gradSum)
+        bc.destroy()
+        val ms = (System.nanoTime() - t0) / 1000000L
+        val valMetric =
+          if (valSet.nonEmpty && epoch % opts.evalEvery == 0)
+            LocalTrainer.evaluate(proto, valSet, batchSize, threads, prune)
+          else Double.NaN
+        if (!valMetric.isNaN && valMetric > bestVal) { bestVal = valMetric; bestParams = proto.getParams }
+        history += EpochStat(epoch, lossSum / totalEx, ms, valMetric)
       }
-      adam.step(params, gradSum)
-      bc.destroy()
-      val ms = (System.nanoTime() - t0) / 1000000L
-      val valMetric =
-        if (valSet.nonEmpty && epoch % opts.evalEvery == 0)
-          LocalTrainer.evaluate(proto, valSet, batchSize, threads, prune)
-        else Double.NaN
-      if (!valMetric.isNaN && valMetric > bestVal) { bestVal = valMetric; bestParams = proto.getParams }
-      history += EpochStat(epoch, lossSum / totalEx, ms, valMetric)
-    }
-    rdd.unpersist()
-    val finalParams = if (valSet.nonEmpty) bestParams else proto.getParams
-    TrainResult(TrainedModel(spec, finalParams), history.result())
+      val finalParams = if (valSet.nonEmpty) bestParams else proto.getParams
+      TrainResult(TrainedModel(spec, finalParams), history.result())
+    } finally rdd.unpersist(blocking = true)
   }
 
   private def addInto(acc: Array[Array[Double]], g: Array[Array[Double]]): Array[Array[Double]] = {

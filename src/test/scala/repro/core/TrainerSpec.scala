@@ -91,6 +91,44 @@ class TrainerSpec extends SparkSpec {
     assert(maxDiff < 1e-9, s"PS params diverge across worker counts: $maxDiff")
   }
 
+  private def flat(exs: Seq[Example]): Seq[FlatExample] =
+    exs.map(e => FlatExample(e.target, e.label, GraphFeature.encode(e.gf)))
+
+  test("PsTrainer on an empty training set fails clearly and caches nothing") {
+    import spark.implicits._
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    val err = intercept[IllegalArgumentException] {
+      PsTrainer.train(spark, spark.emptyDataset[FlatExample], Array.empty, spec("gcn"),
+        PsOpts(epochs = 1, batchSize = 8, lr = 0.01, numWorkers = 2))
+    }
+    assert(err.getMessage.contains("PsTrainer") && err.getMessage.contains("empty"), err.getMessage)
+    assert(spark.sparkContext.getPersistentRDDs.keySet == before)
+  }
+
+  test("PsTrainer with more workers than examples matches the 1-worker step") {
+    import spark.implicits._
+    // 5 examples over 8 workers leaves some partitions empty; one batch
+    // covers each partition, so one step must equal the 1-worker step.
+    val trainDs = spark.createDataset(flat(tinyEx("train").take(5).toIndexedSeq))
+    def run(workers: Int) = PsTrainer.train(spark, trainDs, Array.empty, spec("gcn"),
+      PsOpts(epochs = 1, batchSize = 8, lr = 0.01, numWorkers = workers, seed = 3)).model.params
+    val a = run(1); val b = run(8)
+    val maxDiff = a.zip(b).flatMap { case (x, y) => x.zip(y).map { case (u, v) => math.abs(u - v) } }.max
+    assert(maxDiff < 1e-9, s"PS params diverge with empty partitions: $maxDiff")
+  }
+
+  test("PsTrainer is deterministic in its seed and leaves no cached RDD behind") {
+    import spark.implicits._
+    val trainDs = spark.createDataset(flat(tinyEx("train").take(60).toIndexedSeq))
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    def run() = PsTrainer.train(spark, trainDs, Array.empty, spec("sage"),
+      PsOpts(epochs = 3, batchSize = 16, lr = 0.02, numWorkers = 3, seed = 11))
+    val a = run(); val b = run()
+    assert(spark.sparkContext.getPersistentRDDs.keySet == before)
+    assert(a.history.map(_.loss) == b.history.map(_.loss))
+    a.model.params.zip(b.model.params).foreach { case (x, y) => assert(x.toSeq == y.toSeq) }
+  }
+
   test("evaluate on a TrainedModel reproduces in-training evaluation") {
     val res = LocalTrainer.train(tinyEx("train"), tinyEx("val"), spec("gcn"),
       TrainOpts(epochs = 5, batchSize = 64, lr = 0.02))
