@@ -5,14 +5,20 @@ import repro.core._
 import repro.graph._
 import repro.tables.Tables
 
-/** Shared SparkSession builder for spark-submit entrypoints. */
+/** Shared SparkSession builder for spark-submit entrypoints and the tests. */
 object JobSession {
+  /** Broadcast joins are off, so joins exercise the shuffle path. Adaptive
+    * execution may coalesce the partitions of persisted Datasets too (the
+    * per-round states of GraphFlat and GraphInfer), not only of plain
+    * queries; without that every stage that reads one runs 64 small tasks.
+    */
   def build(name: String): SparkSession =
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config("spark.sql.optimizer.canChangeCachedPlanOutputPartitioning", true)
       .getOrCreate()
 
   /** Datasets are synthetic and regenerated from their seed by name. */

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.mutable
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import repro.graph._
@@ -10,7 +11,7 @@ import repro.graph._
   * @param k                 number of hops / Reduce rounds
   * @param sampling          in-edge sampling strategy (per node, per salt)
   * @param reindexThreshold  in-degree above which a node is a "hub" whose
-  *                          shuffle key gets salted (re-indexing, §3.2.2)
+  *                          in-edges are grouped by salt (re-indexing, §3.2.2)
   * @param numSalts          number of random suffixes for hub keys
   * @param seed              seed for deterministic sampling
   */
@@ -25,17 +26,16 @@ case class FlatConfig(
 /** GraphFlat (§3.2): the distributed K-hop neighborhood generator, expressed
   * as Spark Dataset shuffles instead of raw Hadoop MapReduce.
   *
-  * Per round ("Reduce phase"):
+  * The sampler does not depend on the round, so it runs once per call
+  * ([[sampledInEdges]]); this is also the only place that sees a hub's whole
+  * in-degree, and where re-indexing splits it by salt. Each of the K rounds
+  * ("Reduce phase") then only follows the sample:
   *   - every node ships its current self information (the accumulated
-  *     subgraph) along each out-edge to the destination ("propagation"),
-  *     implemented as `joinWith` on src;
-  *   - every node merges its previous self information with the sampled
-  *     in-edge messages ("merging"), implemented as `groupByKey(dst)` +
-  *     `mapGroups`.
-  *
-  * Hub destinations (in-degree > threshold) go through a salted partial
-  * merge first (re-indexing), and the partials are recombined under the
-  * original key (inverted indexing).
+  *     subgraph) along each sampled out-edge to the destination
+  *     ("propagation"), implemented as `joinWith` on src;
+  *   - every node merges its previous self information with the messages it
+  *     received ("merging"), implemented as one `groupByKey(dst)` +
+  *     `mapGroups`, in the order of [[InEdge.order]].
   *
   * After K rounds, each node's self information *is* its K-hop neighborhood;
   * it is flattened to a GraphFeature (and optionally an encoded string).
@@ -45,10 +45,16 @@ object GraphFlat {
   /** Self information of a node: the subgraph accumulated so far. */
   case class NodeState(id: Long, nodes: Array[GNode], edges: Array[GEdge])
 
-  /** A shuffle record. kind: 0 = self info, 1 = in-edge message (`via` is the
-    * connecting edge), 2 = hub partial merge result.
+  /** A sampled in-edge of `edge.dst`. A node merges the messages of its
+    * sampled in-edges by ascending `order`: by salt, then in the order
+    * `Sampling.selectGroup` returned them.
     */
-  case class Packet(key: Long, kind: Int, st: NodeState, via: Array[GEdge])
+  case class InEdge(edge: GEdge, order: Long)
+
+  /** A shuffle record into `dst`: the state of the node at the tail of `via`,
+    * or the node's own state (no `via`, order -1, so it merges first).
+    */
+  case class Msg(dst: Long, order: Long, st: NodeState, via: Option[GEdge])
 
   /** Ids of nodes whose in-degree exceeds the re-indexing threshold. */
   def hubIds(edges: Dataset[GEdge], cfg: FlatConfig): Set[Long] = {
@@ -65,6 +71,28 @@ object GraphFlat {
     }
   }
 
+  /** Every node's sampled in-edges, the same subset `Sampling.selectInEdges`
+    * keeps in any round: in-edges are grouped by (dst, salt of src) for hubs
+    * and (dst, 0) otherwise, and each group is sampled with (seed, dst, salt).
+    * A hub therefore keeps at most `numSalts × cap` in-edges. The result is
+    * persisted; callers unpersist it.
+    */
+  def sampledInEdges(edges: Dataset[GEdge], cfg: FlatConfig): Dataset[InEdge] = {
+    import edges.sparkSession.implicits._
+    val hubs = edges.sparkSession.sparkContext.broadcast(hubIds(edges, cfg))
+    val FlatConfig(_, sampling, _, numSalts, seed) = cfg
+    val out = edges
+      .groupByKey(e => (e.dst, if (hubs.value.contains(e.dst)) Sampling.saltOf(e.src, numSalts) else 0))
+      .flatMapGroups { (key: (Long, Int), it: Iterator[GEdge]) =>
+        val (dst, salt) = key
+        Sampling.selectGroup[GEdge](it.toArray.toSeq, _.src, _.weight.toDouble, sampling, seed, dst, salt)
+          .iterator.zipWithIndex.map { case (e, rank) => InEdge(e, (salt.toLong << 32) | rank) }
+      }
+      .persist(StorageLevel.MEMORY_AND_DISK)
+    out.count()
+    out
+  }
+
   /** Run the pipeline; returns every node's K-hop neighborhood. Restrict to
     * labeled targets downstream (Theorem 1 applies per target).
     */
@@ -75,59 +103,25 @@ object GraphFlat {
       cfg: FlatConfig
   ): Dataset[GraphFeature] = {
     import spark.implicits._
-    val hubs = spark.sparkContext.broadcast(hubIds(edges, cfg))
-    val numSalts = cfg.numSalts
-    val sampling = cfg.sampling
-    val seed = cfg.seed
+    val sampled = sampledInEdges(edges, cfg)
 
-    // Map phase: runs once; seeds each node's self information.
-    var state: Dataset[NodeState] = nodes
-      .map(n => NodeState(n.id, Array(GNode(n.id, n.feat)), Array.empty[GEdge]))
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    state.count()
+    // Map phase: seeds each node's self information.
+    var state: Dataset[NodeState] =
+      nodes.map(n => NodeState(n.id, Array(GNode(n.id, n.feat)), Array.empty[GEdge]))
 
-    var round = 0
-    while (round < cfg.k) {
-      val selfPk = state.map(s => Packet(s.id, 0, s, Array.empty[GEdge]))
-      val msgPk = state
-        .joinWith(edges, state.col("id") === edges.col("src"))
-        .map { case (s, e) => Packet(e.dst, 1, s, Array(e)) }
-
-      val hubMsgs = msgPk.filter(p => hubs.value.contains(p.key))
-      val normalMsgs = msgPk.filter(p => !hubs.value.contains(p.key))
-
-      // Re-indexing: salt hub keys, partially merge per salt (with sampling),
-      // then inverted indexing restores the original key via Packet.key.
-      val partials = hubMsgs
-        .groupByKey(p => (p.key, Sampling.saltOf(p.st.id, numSalts)))
-        .mapGroups { (keySalt: (Long, Int), it: Iterator[Packet]) =>
-          val (key, salt) = keySalt
-          val cands = it.toArray.toSeq
-          val sel = Sampling.selectGroup[Packet](
-            cands, _.st.id, _.via.head.weight.toDouble, sampling, seed, key, salt)
-          Packet(key, 2, mergeInto(NodeState(key, Array.empty, Array.empty), sel), Array.empty)
-        }
-
-      val newState = selfPk
-        .union(normalMsgs)
-        .union(partials)
-        .groupByKey(_.key)
-        .mapGroups { (key, it) =>
-          val pk = it.toArray
-          val self = pk.find(_.kind == 0).map(_.st).getOrElse(NodeState(key, Array.empty, Array.empty))
-          val partialsHere = pk.filter(_.kind == 2)
-          val cands = pk.filter(_.kind == 1).toSeq
-          val sel = Sampling.selectInEdges[Packet](
-            cands, _.st.id, _.via.head.weight.toDouble, sampling, seed, key,
-            isHub = false, numSalts = numSalts)
-          val merged = mergeInto(self, sel)
-          partialsHere.foldLeft(merged)((acc, p) => unionStates(acc, p.st))
-        }
+    for (_ <- 1 to cfg.k) {
+      val self = state.map(s => Msg(s.id, -1L, s, None))
+      val msgs = state
+        .joinWith(sampled, state.col("id") === sampled.col("edge.src"))
+        .map { case (s, in) => Msg(in.edge.dst, in.order, s, Some(in.edge)) }
+      val next = self
+        .union(msgs)
+        .groupByKey(_.dst)
+        .mapGroups((dst, it) => merge(dst, it.toArray.sortBy(_.order)))
         .persist(StorageLevel.MEMORY_AND_DISK)
-      newState.count()
+      next.count()
       state.unpersist()
-      state = newState
-      round += 1
+      state = next
     }
 
     // Storing phase: materialize the flattened neighborhoods and release the
@@ -137,24 +131,23 @@ object GraphFlat {
       .persist(StorageLevel.MEMORY_AND_DISK)
     out.count()
     state.unpersist()
+    sampled.unpersist()
     out
   }
 
-  /** Merge sampled in-edge messages into a self state: union the message
-    * subgraphs plus each connecting edge; dedup nodes by id, edges by
-    * (src, dst).
+  /** Union of the messages' subgraphs plus each connecting edge, in message
+    * order; the first occurrence of a node id or an edge (src, dst) wins.
     */
-  private def mergeInto(self: NodeState, msgs: Seq[Packet]): NodeState =
-    msgs.foldLeft(self) { (acc, m) =>
-      unionStates(acc, NodeState(acc.id, m.st.nodes, m.st.edges ++ m.via))
+  private def merge(id: Long, msgs: Array[Msg]): NodeState = {
+    val nodes = mutable.ArrayBuffer.empty[GNode]
+    val edges = mutable.ArrayBuffer.empty[GEdge]
+    val nodeIds = mutable.HashSet.empty[Long]
+    val edgeKeys = mutable.HashSet.empty[(Long, Long)]
+    msgs.foreach { m =>
+      m.st.nodes.foreach(n => if (nodeIds.add(n.id)) nodes += n)
+      (m.st.edges ++ m.via).foreach(e => if (edgeKeys.add((e.src, e.dst))) edges += e)
     }
-
-  private def unionStates(a: NodeState, b: NodeState): NodeState = {
-    val nodeIds = a.nodes.map(_.id).toSet
-    val nn = a.nodes ++ b.nodes.filterNot(n => nodeIds(n.id))
-    val edgeKeys = a.edges.map(e => (e.src, e.dst)).toSet
-    val ee = a.edges ++ b.edges.filterNot(e => edgeKeys((e.src, e.dst)))
-    NodeState(a.id, nn, ee)
+    NodeState(id, nodes.toArray, edges.toArray)
   }
 
   /** Convenience: run GraphFlat and join labels for a given split, producing

@@ -27,14 +27,15 @@ object ModelCache {
   * prediction slice. Every node's intermediate embedding is computed exactly
   * once — no overlap-induced recomputation.
   *
-  * Sampling/re-indexing use the same `Sampling.selectInEdges` (same seed,
-  * same hub set) as GraphFlat, so inference sees precisely the neighborhoods
-  * the model was trained on.
+  * Messages follow `GraphFlat.sampledInEdges` (same seed, same hub set) and
+  * are aggregated in GraphFlat's merge order, so inference sees precisely the
+  * neighborhoods the model was trained on.
   */
 object GraphInfer {
 
   case class Emb(id: Long, vec: Array[Double])
-  case class InMsg(key: Long, src: Long, weight: Float, vec: Array[Double], isSelf: Boolean)
+  /** An embedding sent into `dst` along a sampled in-edge, or the node's own (order -1). */
+  case class InMsg(dst: Long, order: Long, vec: Array[Double])
 
   /** Returns per-node K-layer embeddings (before the prediction slice). */
   def inferEmbeddings(
@@ -46,46 +47,33 @@ object GraphInfer {
   ): Dataset[Emb] = {
     import spark.implicits._
     require(cfg.k == tm.spec.layers, "GraphInfer rounds must equal model depth")
-    val hubs = spark.sparkContext.broadcast(GraphFlat.hubIds(edges, cfg))
+    val sampled = GraphFlat.sampledInEdges(edges, cfg)
     val bcModel = spark.sparkContext.broadcast(tm)
     val bcId = bcModel.id
-    val sampling = cfg.sampling
-    val seed = cfg.seed
-    val numSalts = cfg.numSalts
 
     // Map phase: initial "embeddings" are the raw features (h^(0) = x).
-    var state: Dataset[Emb] = nodes
-      .map(n => Emb(n.id, n.feat.map(_.toDouble)))
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    state.count()
+    var state: Dataset[Emb] = nodes.map(n => Emb(n.id, n.feat.map(_.toDouble)))
 
-    var k = 0
-    while (k < tm.spec.layers) {
-      val layerIdx = k
-      val selfMsgs = state.map(e => InMsg(e.id, e.id, 0f, e.vec, isSelf = true))
+    for (layerIdx <- 0 until tm.spec.layers) {
+      val selfMsgs = state.map(e => InMsg(e.id, -1L, e.vec))
       val nbMsgs = state
-        .joinWith(edges, state.col("id") === edges.col("src"))
-        .map { case (s, e) => InMsg(e.dst, e.src, e.weight, s.vec, isSelf = false) }
+        .joinWith(sampled, state.col("id") === sampled.col("edge.src"))
+        .map { case (s, in) => InMsg(in.edge.dst, in.order, s.vec) }
       val newState = selfMsgs
         .union(nbMsgs)
-        .groupByKey(_.key)
+        .groupByKey(_.dst)
         .mapGroups { (key, it) =>
-          val all = it.toArray
-          val self = all.find(_.isSelf)
-            .getOrElse(throw new IllegalStateException(s"node $key lost its self message"))
-          val cands = all.filterNot(_.isSelf).toSeq
-          val sel = Sampling.selectInEdges[InMsg](
-            cands, _.src, _.weight.toDouble, sampling, seed, key,
-            isHub = hubs.value.contains(key), numSalts = numSalts)
+          val msgs = it.toArray.sortBy(_.order)
+          if (msgs.head.order != -1L) throw new IllegalStateException(s"node $key lost its self message")
           val model = ModelCache.get(bcId, bcModel.value)
-          Emb(key, model.gnn(layerIdx).applyOne(self.vec, sel.map(_.vec).toArray))
+          Emb(key, model.gnn(layerIdx).applyOne(msgs.head.vec, msgs.tail.map(_.vec)))
         }
         .persist(StorageLevel.MEMORY_AND_DISK)
       newState.count()
       state.unpersist()
       state = newState
-      k += 1
     }
+    sampled.unpersist()
     state
   }
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import repro.graph.{Example, FlatExample}
@@ -24,9 +25,10 @@ case class PsOpts(
 /** GraphTrainer in distributed mode (§3.3): the parameter-server pattern on
   * Spark primitives. The driver plays the server (it owns the parameters and
   * the Adam state); partitions play the workers. Each worker decodes its
-  * shard of FlatExamples (the on-DFS triples) once per `train` call and keeps
-  * the decoded Examples cached, so only parameters and gradients move per
-  * step. Each synchronous step the parameters are broadcast, every worker
+  * shard of FlatExamples (the on-DFS triples whose target hashes to it, in
+  * target order) once per `train` call and keeps the decoded Examples
+  * cached, so only parameters and gradients move per step. Each
+  * synchronous step the parameters are broadcast, every worker
   * shuffles its cached shard, vectorizes local mini-batches, runs
   * forward/backward, and the driver sums the per-batch mean gradients in
   * partition order — data-parallelism is legal *because* GraphFlat made each
@@ -43,9 +45,12 @@ object PsTrainer {
       opts: PsOpts
   ): TrainResult = {
     val sc = spark.sparkContext
+    // A worker's shard is the examples whose target hashes to it, sorted by
+    // target, so it does not depend on how the input was partitioned.
     val rdd = trainSet.rdd
-      .repartition(opts.numWorkers)
-      .map(_.decoded)
+      .map(fe => (fe.target, fe))
+      .repartitionAndSortWithinPartitions(new HashPartitioner(opts.numWorkers))
+      .map(_._2.decoded)
       .persist(StorageLevel.MEMORY_AND_DISK)
     // The decoded shard is released however train exits, so it cannot
     // outlive this call and hold heap in later phases.
@@ -81,7 +86,7 @@ object PsTrainer {
             else {
               // per-batch losses/gradients are means over the batch; weight by
               // batch size so the aggregate is the exact mean over all examples
-              // regardless of how repartition balanced the workers.
+              // regardless of how the shards are balanced.
               val acc = model.paramShapes.map(new Array[Double](_))
               var loss = 0.0
               var nEx = 0L

@@ -3,16 +3,17 @@ package repro.core
 import scala.util.Random
 import scala.util.hashing.byteswap64
 
-/** Neighbor-sampling strategies for GraphFlat's reducers (§3.2.2).
+/** Neighbor-sampling strategies for GraphFlat (§3.2.2).
   *
   * `select` returns the chosen candidate indices out of `n`, given a weight
   * accessor. Selection is driven by an explicit RNG so it is deterministic in
-  * (seed, nodeId, salt) — crucially *independent of the round*: every
-  * GraphFlat round re-samples the same subset for a node, so the K-hop
-  * neighborhood's in-edge set per node equals the per-round sample, and
-  * GraphInfer (which re-runs the same sampler) sees exactly the same
-  * neighborhoods as training did (the paper's "consistence of data
-  * processing" in §3.4, made exact).
+  * (seed, nodeId, salt) — crucially *independent of the round*. GraphFlat
+  * therefore samples every node's in-edges once per call
+  * (`GraphFlat.sampledInEdges`) and all K rounds follow that sample, so the
+  * K-hop neighborhood's in-edge set per node is the sample; GraphInfer
+  * propagates along the same sample and sees exactly the neighborhoods
+  * training did (the paper's "consistence of data processing" in §3.4, made
+  * exact).
   */
 sealed trait SamplingStrategy extends Serializable {
   def select(n: Int, weight: Int => Double, rng: Random): Array[Int]
@@ -65,8 +66,9 @@ object Sampling {
 
   /** Canonical in-edge selection for node `nodeId`: sort candidates by
     * (src, -weight), then apply the strategy per salt group (salt 0 only for
-    * non-hub nodes; hash-of-src salting for hubs, mirroring re-indexing).
-    * Both GraphFlat's reducers and GraphInfer's reducers go through this.
+    * non-hub nodes; hash-of-src salting for hubs, mirroring re-indexing), in
+    * salt order. `GraphFlat.sampledInEdges` computes the same selection one
+    * (node, salt) group at a time.
     */
   def selectInEdges[T](
       cands: Seq[T],

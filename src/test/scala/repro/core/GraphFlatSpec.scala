@@ -151,4 +151,53 @@ class GraphFlatSpec extends SparkSpec {
       assert(ids(gf.target))
     }
   }
+
+  test("isolated nodes keep a GraphFeature of themselves alone") {
+    val g = toyGraph(4, Seq((1L, 2L)))
+    val m = flatMap(spark, g, FlatConfig(2, UniformSampling(1), seed = 4))
+    Seq(3L, 4L).foreach { id =>
+      assert(m(id).nodes.toSeq == Seq(GNode(id, Array(id.toFloat))))
+      assert(m(id).edges.isEmpty)
+    }
+    assert(edgePairs(m(2L)) == Set((1L, 2L)))
+  }
+
+  test("an empty edge Dataset gives every node a one-node GraphFeature") {
+    import spark.implicits._
+    val g = toyGraph(3, Seq.empty[(Long, Long)])
+    val cfg = FlatConfig(2, UniformSampling(2), reindexThreshold = 1, numSalts = 4, seed = 1)
+    val m = GraphFlat.run(spark, g.nodeDs(spark), spark.emptyDataset[GEdge], cfg)
+      .collect().map(gf => gf.target -> gf).toMap
+    assert(m.keySet == Set(1L, 2L, 3L))
+    m.values.foreach(gf => assert(nodeIds(gf) == Set(gf.target) && gf.edges.isEmpty))
+  }
+
+  test("with sampling on, k larger than the diameter gives the same arrays as k = diameter") {
+    // leaves 1..6 point at hub 7, and 7 points at 8: diameter 2
+    val g = toyGraph(8, (1L to 6L).map(i => (i, 7L)) :+ ((7L, 8L)))
+    val cfg = FlatConfig(2, UniformSampling(2), reindexThreshold = 3, numSalts = 2, seed = 6)
+    val m2 = flatMap(spark, g, cfg)
+    val m5 = flatMap(spark, g, cfg.copy(k = 5))
+    m2.keys.foreach { id =>
+      assert(m2(id).nodes.toSeq == m5(id).nodes.toSeq, s"nodes of $id")
+      assert(m2(id).edges.toSeq == m5(id).edges.toSeq, s"edges of $id")
+    }
+    assert(m2(8L).edges.length <= 2 * 2 + 1)
+  }
+
+  test("GraphFlat.run and flatExamples leave only their result cached") {
+    val g = GraphGen.uugLite(n = 150)
+    val cfg = FlatConfig(2, UniformSampling(4), reindexThreshold = 10, numSalts = 4, seed = 1)
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val calls = Seq[() => org.apache.spark.sql.Dataset[_]](
+      () => GraphFlat.run(spark, g.nodeDs(spark), g.edgeDs(spark), cfg),
+      () => GraphFlat.flatExamples(spark, g, cfg, "train"))
+    for (call <- calls) {
+      val ds = call()
+      assert((sc.getPersistentRDDs.keySet -- before).size == 1)
+      ds.unpersist(blocking = true)
+      assert(sc.getPersistentRDDs.keySet == before)
+    }
+  }
 }

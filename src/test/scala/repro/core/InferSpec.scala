@@ -94,4 +94,50 @@ class InferSpec extends SparkSpec {
         s"target ${e.target}: trainer-side $s vs GraphInfer ${gi(e.target)(0)}")
     }
   }
+
+  /** GraphInfer's scores must equal OriginalInfer's on every node. */
+  private def assertInferEqualsOriginal(g: LocalGraph, edges: org.apache.spark.sql.Dataset[GEdge],
+                                        tm: TrainedModel, cfg: FlatConfig): Unit = {
+    val gi = GraphInfer.inferScores(spark, g.nodeDs(spark), edges, tm, cfg).collect().toMap
+    val orig = OriginalInfer.inferScores(spark, g.nodeDs(spark), edges, tm, cfg).collect().toMap
+    assert(gi.keySet == g.nodes.map(_.id).toSet && orig.keySet == gi.keySet)
+    gi.keys.foreach { id =>
+      val worst = gi(id).zip(orig(id)).map { case (a, b) => math.abs(a - b) }.max
+      assert(worst < 1e-8, s"node $id: score diff $worst")
+    }
+  }
+
+  private def toyTm(layers: Int): TrainedModel = {
+    val spec = ModelSpec("sage", layers, inDim = 1, hidden = 3, embDim = 2, numClasses = 1, task = "bce")
+    TrainedModel(spec, Model.build(spec, 8).getParams)
+  }
+
+  test("GraphInfer equals Original on isolated nodes") {
+    val g = CoreTestUtil.toyGraph(5, Seq((1L, 2L), (2L, 3L)))
+    assertInferEqualsOriginal(g, g.edgeDs(spark), toyTm(2), FlatConfig(2, UniformSampling(1), seed = 2))
+  }
+
+  test("GraphInfer equals Original on an empty edge Dataset") {
+    import spark.implicits._
+    val g = CoreTestUtil.toyGraph(3, Seq.empty[(Long, Long)])
+    assertInferEqualsOriginal(g, spark.emptyDataset[GEdge], toyTm(2),
+      FlatConfig(2, UniformSampling(2), reindexThreshold = 1, numSalts = 4, seed = 2))
+  }
+
+  test("GraphInfer equals Original when k exceeds the diameter with sampling on") {
+    val g = CoreTestUtil.toyGraph(8, (1L to 6L).map(i => (i, 7L)) :+ ((7L, 8L)))
+    assertInferEqualsOriginal(g, g.edgeDs(spark), toyTm(4),
+      FlatConfig(4, UniformSampling(2), reindexThreshold = 3, numSalts = 2, seed = 6))
+  }
+
+  test("GraphInfer.inferScores leaves only its result cached") {
+    val tm = randomTm("gat", 2, 5)
+    val cfg = FlatConfig(2, UniformSampling(5), reindexThreshold = 20, numSalts = 4, seed = 11)
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val scores = GraphInfer.inferScores(spark, g.nodeDs(spark), g.edgeDs(spark), tm, cfg)
+    assert((sc.getPersistentRDDs.keySet -- before).size == 1)
+    scores.unpersist(blocking = true)
+    assert(sc.getPersistentRDDs.keySet == before)
+  }
 }

@@ -129,6 +129,16 @@ class TrainerSpec extends SparkSpec {
     a.model.params.zip(b.model.params).foreach { case (x, y) => assert(x.toSeq == y.toSeq) }
   }
 
+  test("PsTrainer shards do not depend on how the input is partitioned") {
+    import spark.implicits._
+    val trainDs = spark.createDataset(flat(tinyEx("train").take(60).toIndexedSeq))
+    def run(partitions: Int) = PsTrainer.train(spark, trainDs.repartition(partitions), Array.empty,
+      spec("gat"), PsOpts(epochs = 3, batchSize = 8, lr = 0.02, numWorkers = 3, seed = 5))
+    val a = run(1); val b = run(64)
+    assert(a.history.map(_.loss) == b.history.map(_.loss))
+    a.model.params.zip(b.model.params).foreach { case (x, y) => assert(x.toSeq == y.toSeq) }
+  }
+
   test("evaluate on a TrainedModel reproduces in-training evaluation") {
     val res = LocalTrainer.train(tinyEx("train"), tinyEx("val"), spec("gcn"),
       TrainOpts(epochs = 5, batchSize = 64, lr = 0.02))
