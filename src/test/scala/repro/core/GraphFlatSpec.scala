@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.Dataset
 import repro.SparkSpec
 import repro.graph._
 import CoreTestUtil._
@@ -190,7 +191,7 @@ class GraphFlatSpec extends SparkSpec {
     val cfg = FlatConfig(2, UniformSampling(4), reindexThreshold = 10, numSalts = 4, seed = 1)
     val sc = spark.sparkContext
     val before = sc.getPersistentRDDs.keySet
-    val calls = Seq[() => org.apache.spark.sql.Dataset[_]](
+    val calls = Seq[() => Dataset[_]](
       () => GraphFlat.run(spark, g.nodeDs(spark), g.edgeDs(spark), cfg),
       () => GraphFlat.flatExamples(spark, g, cfg, "train"))
     for (call <- calls) {

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.Dataset
 import repro.SparkSpec
 import repro.graph._
 import repro.nn.{Model, ModelSpec, TrainedModel}
@@ -96,8 +97,8 @@ class InferSpec extends SparkSpec {
   }
 
   /** GraphInfer's scores must equal OriginalInfer's on every node. */
-  private def assertInferEqualsOriginal(g: LocalGraph, edges: org.apache.spark.sql.Dataset[GEdge],
-                                        tm: TrainedModel, cfg: FlatConfig): Unit = {
+  private def assertInferEqualsOriginal(g: LocalGraph, edges: Dataset[GEdge], tm: TrainedModel,
+                                        cfg: FlatConfig): Unit = {
     val gi = GraphInfer.inferScores(spark, g.nodeDs(spark), edges, tm, cfg).collect().toMap
     val orig = OriginalInfer.inferScores(spark, g.nodeDs(spark), edges, tm, cfg).collect().toMap
     assert(gi.keySet == g.nodes.map(_.id).toSet && orig.keySet == gi.keySet)
