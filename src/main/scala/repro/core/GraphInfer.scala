@@ -1,21 +1,11 @@
 package repro.core
 
-import java.util.concurrent.ConcurrentHashMap
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import org.apache.spark.util.LongAccumulator
 import repro.graph._
+import repro.linalg.Mat
 import repro.nn.{Model, TrainedModel}
-
-/** One executor-side materialized model per broadcast, so reducers don't
-  * rebuild layer objects per node. applyOne only reads parameters, so
-  * concurrent tasks can share the instance.
-  */
-object ModelCache {
-  private val cache = new ConcurrentHashMap[Long, Model]()
-  def get(bcId: Long, tm: => TrainedModel): Model =
-    cache.computeIfAbsent(bcId, _ => tm.materialize())
-}
 
 /** GraphInfer (§3.4): hierarchical model segmentation + K+1 rounds of
   * MapReduce message passing.
@@ -29,7 +19,11 @@ object ModelCache {
   *
   * Messages follow `GraphFlat.sampledInEdges` (same seed, same hub set) and
   * are aggregated in GraphFlat's merge order, so inference sees precisely the
-  * neighborhoods the model was trained on.
+  * neighborhoods the model was trained on. A round clusters the messages by
+  * destination and sorts each partition by (dst, order); one task then
+  * materializes the model once and applies the slice to each run of one
+  * destination. Slices are the training layers' own `forward` (through
+  * `applyOne`) and `Dense.forward` + `Model.activateScores`.
   */
 object GraphInfer {
 
@@ -49,7 +43,6 @@ object GraphInfer {
     require(cfg.k == tm.spec.layers, "GraphInfer rounds must equal model depth")
     val sampled = GraphFlat.sampledInEdges(edges, cfg)
     val bcModel = spark.sparkContext.broadcast(tm)
-    val bcId = bcModel.id
 
     // Map phase: initial "embeddings" are the raw features (h^(0) = x).
     var state: Dataset[Emb] = nodes.map(n => Emb(n.id, n.feat.map(_.toDouble)))
@@ -61,12 +54,15 @@ object GraphInfer {
         .map { case (s, in) => InMsg(in.edge.dst, in.order, s.vec) }
       val newState = selfMsgs
         .union(nbMsgs)
-        .groupByKey(_.dst)
-        .mapGroups { (key, it) =>
-          val msgs = it.toArray.sortBy(_.order)
-          if (msgs.head.order != -1L) throw new IllegalStateException(s"node $key lost its self message")
-          val model = ModelCache.get(bcId, bcModel.value)
-          Emb(key, model.gnn(layerIdx).applyOne(msgs.head.vec, msgs.tail.map(_.vec)))
+        .repartition($"dst")
+        .sortWithinPartitions($"dst", $"order")
+        .mapPartitions { it =>
+          lazy val layer = bcModel.value.materialize().gnn(layerIdx)
+          runsByDst(it).map { msgs =>
+            val key = msgs.head.dst
+            if (msgs.head.order != -1L) throw new IllegalStateException(s"node $key lost its self message")
+            Emb(key, layer.applyOne(msgs.head.vec, msgs.tail.map(_.vec)))
+          }
         }
         .persist(StorageLevel.MEMORY_AND_DISK)
       newState.count()
@@ -90,25 +86,33 @@ object GraphInfer {
     import spark.implicits._
     val emb = inferEmbeddings(spark, nodes, edges, tm, cfg)
     val bcModel = spark.sparkContext.broadcast(tm)
-    val bcId = bcModel.id
-    val task = tm.spec.task
-    val scores = emb.map { e =>
-      val model = ModelCache.get(bcId, bcModel.value)
-      val logits = model.predictor.applyOne(e.vec)
-      (e.id, activate(logits, task))
+    val scores = emb.mapPartitions { it =>
+      val part = it.toIndexedSeq
+      if (part.isEmpty) Iterator.empty
+      else {
+        val model = bcModel.value.materialize()
+        val probs = Model.activateScores(model.predictor.forward(Mat.fromRows(part.map(_.vec))), model.spec.task)
+        part.indices.iterator.map(i => (part(i).id, probs.row(i)))
+      }
     }.persist(StorageLevel.MEMORY_AND_DISK)
     scores.count()
     emb.unpersist()
     scores
   }
 
-  def activate(logits: Array[Double], task: String): Array[Double] =
-    if (task == "softmax") {
-      val mx = logits.max
-      val ex = logits.map(x => math.exp(x - mx))
-      val s = ex.sum
-      ex.map(_ / s)
-    } else logits.map(x => 1.0 / (1.0 + math.exp(-x)))
+  /** The runs of one `dst` in a partition sorted by `dst`. */
+  private def runsByDst(it: Iterator[InMsg]): Iterator[Array[InMsg]] = {
+    val in = it.buffered
+    new Iterator[Array[InMsg]] {
+      def hasNext: Boolean = in.hasNext
+      def next(): Array[InMsg] = {
+        val dst = in.head.dst
+        val run = Array.newBuilder[InMsg]
+        while (in.hasNext && in.head.dst == dst) run += in.next()
+        run.result()
+      }
+    }
+  }
 }
 
 /** The "Original" inference baseline of Table 5: run GraphFlat for *every*
@@ -134,17 +138,17 @@ object OriginalInfer {
     require(cfg.k == tm.spec.layers)
     val flat = GraphFlat.run(spark, nodes, edges, cfg)
     val bcModel = spark.sparkContext.broadcast(tm)
-    val bcId = bcModel.id
     val layers = tm.spec.layers
-    val scores = flat.map { gf =>
-      val model = ModelCache.get(bcId, bcModel.value)
-      val ex = Example(gf.target, Array.fill(tm.spec.numClasses)(0f), gf)
-      val vb = Vectorize(Seq(ex), layers, prune = true)
-      // every node row of every layer is recomputed for this one target
-      embAcc.foreach(_.add(gf.numNodes.toLong * layers))
-      recAcc.foreach(_.add(gf.numNodes.toLong))
-      val s = model.predictScores(vb, 1)
-      (gf.target, s.row(0))
+    val scores = flat.mapPartitions { it =>
+      lazy val model = bcModel.value.materialize()
+      it.map { gf =>
+        val ex = Example(gf.target, Array.fill(tm.spec.numClasses)(0f), gf)
+        val vb = Vectorize(Seq(ex), layers, prune = true)
+        // every node row of every layer is recomputed for this one target
+        embAcc.foreach(_.add(gf.numNodes.toLong * layers))
+        recAcc.foreach(_.add(gf.numNodes.toLong))
+        (gf.target, model.predictScores(vb, 1).row(0))
+      }
     }.persist(StorageLevel.MEMORY_AND_DISK)
     scores.count()
     flat.unpersist()

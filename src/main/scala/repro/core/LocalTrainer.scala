@@ -55,7 +55,7 @@ object LocalTrainer {
     val adam = new Adam(model.paramShapes, opts.lr)
     val rng = new Random(opts.seed)
     var bestVal = Double.NegativeInfinity
-    var bestParams = model.getParams
+    var bestParams: Option[Array[Array[Double]]] = None
     val history = Vector.newBuilder[EpochStat]
 
     for (epoch <- 1 to opts.epochs) {
@@ -76,12 +76,12 @@ object LocalTrainer {
           evaluate(model, valSet, opts.batchSize, opts.aggThreads, opts.prune)
         else Double.NaN
       if (!valMetric.isNaN && valMetric > bestVal) {
-        bestVal = valMetric; bestParams = model.getParams
+        bestVal = valMetric; bestParams = Some(model.getParams)
       }
       history += EpochStat(epoch, lossSum / math.max(nb, 1), ms, valMetric)
     }
-    val finalParams = if (valSet.nonEmpty) bestParams else model.getParams
-    TrainResult(TrainedModel(spec, finalParams), history.result())
+    // the best validated parameters, or the last ones when no validation ran
+    TrainResult(TrainedModel(spec, bestParams.getOrElse(model.getParams)), history.result())
   }
 
   /** Run `f` over vectorized batches, optionally pipelined (§3.3.2). */
@@ -146,10 +146,8 @@ object FullGraphTrainer {
   def vectorizeFull(g: LocalGraph, layers: Int, split: String): VecBatch = {
     val idOf = g.nodes.zipWithIndex.map { case (nd, i) => nd.id -> i }.toMap
     val x = Mat.fromRows(g.nodes.toIndexedSeq.map(_.feat.map(_.toDouble)))
-    val tuples = g.edges.zipWithIndex.map { case (e, i) =>
-      (idOf(e.src), idOf(e.dst), e.weight.toDouble, i)
-    }.toSeq
-    val csr = Csr.fromEdges(g.nodes.length, tuples)
+    val csr = Csr.fromEdges(g.nodes.length, g.edges.length, g.edges.map(e => idOf(e.src)),
+      g.edges.map(e => idOf(e.dst)), g.edges.map(_.weight.toDouble))
     val eDim = if (g.edges.isEmpty) 1 else g.edges.head.feat.length
     val eFeat = Mat.zeros(g.edges.length, eDim)
     g.edges.zipWithIndex.foreach { case (e, i) =>
@@ -164,25 +162,27 @@ object FullGraphTrainer {
 
   def train(g: LocalGraph, spec: ModelSpec, opts: TrainOpts): TrainResult = {
     val trainVb = vectorizeFull(g, spec.layers, "train")
-    val valVb = vectorizeFull(g, spec.layers, "val")
+    // a graph without val nodes trains like an empty validation set
+    val valVb = if (g.split("val").isEmpty) None else Some(vectorizeFull(g, spec.layers, "val"))
     val model = Model.build(spec, opts.seed)
     val adam = new Adam(model.paramShapes, opts.lr)
     var bestVal = Double.NegativeInfinity
-    var bestParams = model.getParams
+    var bestParams: Option[Array[Array[Double]]] = None
     val history = Vector.newBuilder[EpochStat]
     for (epoch <- 1 to opts.epochs) {
       val t0 = System.nanoTime()
       val (loss, grads) = model.lossAndGrad(trainVb, opts.aggThreads)
       adam.step(model.getParamsRef, grads)
       val ms = (System.nanoTime() - t0) / 1000000L
-      val valMetric =
-        if (epoch % opts.evalEvery == 0)
-          Metrics.forTask(spec.task, model.predictScores(valVb, opts.aggThreads), valVb.labels)
-        else Double.NaN
-      if (!valMetric.isNaN && valMetric > bestVal) { bestVal = valMetric; bestParams = model.getParams }
+      val valMetric = valVb match {
+        case Some(vb) if epoch % opts.evalEvery == 0 =>
+          Metrics.forTask(spec.task, model.predictScores(vb, opts.aggThreads), vb.labels)
+        case _ => Double.NaN
+      }
+      if (!valMetric.isNaN && valMetric > bestVal) { bestVal = valMetric; bestParams = Some(model.getParams) }
       history += EpochStat(epoch, loss, ms, valMetric)
     }
-    TrainResult(TrainedModel(spec, bestParams), history.result())
+    TrainResult(TrainedModel(spec, bestParams.getOrElse(model.getParams)), history.result())
   }
 
   def evaluateFull(g: LocalGraph, tm: TrainedModel, split: String, threads: Int): Double = {

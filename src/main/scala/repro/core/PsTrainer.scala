@@ -61,7 +61,7 @@ object PsTrainer {
       val params = proto.getParamsRef
       val adam = new Adam(proto.paramShapes, opts.lr)
       var bestVal = Double.NegativeInfinity
-      var bestParams = proto.getParams
+      var bestParams: Option[Array[Array[Double]]] = None
       val history = Vector.newBuilder[EpochStat]
       val layers = spec.layers
       val prune = opts.prune
@@ -126,11 +126,11 @@ object PsTrainer {
           if (valSet.nonEmpty && epoch % opts.evalEvery == 0)
             LocalTrainer.evaluate(proto, valSet, batchSize, threads, prune)
           else Double.NaN
-        if (!valMetric.isNaN && valMetric > bestVal) { bestVal = valMetric; bestParams = proto.getParams }
+        if (!valMetric.isNaN && valMetric > bestVal) { bestVal = valMetric; bestParams = Some(proto.getParams) }
         history += EpochStat(epoch, lossSum / totalEx, ms, valMetric)
       }
-      val finalParams = if (valSet.nonEmpty) bestParams else proto.getParams
-      TrainResult(TrainedModel(spec, finalParams), history.result())
+      // the best validated parameters, or the last ones when no validation ran
+      TrainResult(TrainedModel(spec, bestParams.getOrElse(proto.getParams)), history.result())
     } finally rdd.unpersist(blocking = true)
   }
 

@@ -103,7 +103,7 @@ object Vectorize {
       i += 1
     }
 
-    val full = buildCsr(n, eSrc, eDst, eW)
+    val full = Csr.fromEdges(n, m, eSrc.a, eDst.a, eW.a)
 
     val adjs: Array[Csr] =
       if (!prune || layers == 1) Array.fill(layers)(full)
@@ -134,7 +134,6 @@ object Vectorize {
       if (n == a.length) a = java.util.Arrays.copyOf(a, a.length * 2)
       a(n) = v; n += 1
     }
-    @inline def apply(i: Int): Int = a(i)
     def length: Int = n
   }
 
@@ -145,7 +144,6 @@ object Vectorize {
       if (n == a.length) a = java.util.Arrays.copyOf(a, a.length * 2)
       a(n) = v; n += 1
     }
-    @inline def apply(i: Int): Double = a(i)
   }
 
   /** Open-addressing set of non-negative longs (linear probing, -1 = empty). */
@@ -191,34 +189,6 @@ object Vectorize {
         i += 1
       }
     }
-  }
-
-  /** Counting-sort CSR build: O(N + E); entries of a row keep first-seen
-    * order (deterministic given the batch's example order).
-    */
-  private def buildCsr(
-      n: Int,
-      eSrc: IntVec,
-      eDst: IntVec,
-      eW: DoubleVec
-  ): Csr = {
-    val m = eSrc.length
-    val rowPtr = new Array[Int](n + 1)
-    var i = 0
-    while (i < m) { rowPtr(eDst(i) + 1) += 1; i += 1 }
-    i = 0
-    while (i < n) { rowPtr(i + 1) += rowPtr(i); i += 1 }
-    val cursor = java.util.Arrays.copyOf(rowPtr, n + 1)
-    val col = new Array[Int](m)
-    val w = new Array[Double](m)
-    val eid = new Array[Int](m)
-    i = 0
-    while (i < m) {
-      val pos = cursor(eDst(i)); cursor(eDst(i)) += 1
-      col(pos) = eSrc(i); w(pos) = eW(i); eid(pos) = i
-      i += 1
-    }
-    new Csr(n, rowPtr, col, w, eid)
   }
 
   /** Pruned layer: keep exactly the rows whose destination is within
@@ -280,20 +250,5 @@ object Vectorize {
       }
     }
     dist
-  }
-
-  /** Public BFS over an explicit edge list (kept for tests / callers that
-    * don't hold a CSR).
-    */
-  def distancesToTargets(
-      n: Int,
-      edges: Seq[(Int, Int, Double, Int)],
-      targets: Array[Int]
-  ): Array[Int] = {
-    val eSrc = new IntVec(edges.length)
-    val eDst = new IntVec(edges.length)
-    val eW = new DoubleVec(edges.length)
-    edges.foreach { case (s, d, w, _) => eSrc += s; eDst += d; eW += w }
-    distances(n, buildCsr(n, eSrc, eDst, eW), targets)
   }
 }

@@ -32,9 +32,8 @@ case class LocalGraph(
   def featDim: Int = nodes.head.feat.length
 }
 
-/** Synthetic graph generators — the graph-data extension of `repro.SynthData`
-  * (which covers TPC-H-lite relational tables; graph ML needs attributed
-  * graphs instead). All are deterministic in their seed.
+/** Synthetic attributed-graph generators: the Cora, PPI and UUG stand-ins.
+  * All are deterministic in their seed.
   */
 object GraphGen {
 

@@ -198,19 +198,26 @@ final class Csr(
 }
 
 object Csr {
-  /** Build from (src, dst, weight, edgeId) tuples; entries are sorted by
-    * (dst, src) so the layout is deterministic.
+  /** Counting-sort build, O(N + E), from the first `numEdges` entries of the
+    * parallel edge arrays. Entries of a row keep input order, and `edgeId`
+    * is each edge's input position.
     */
-  def fromEdges(numRows: Int, edges: Seq[(Int, Int, Double, Int)]): Csr = {
-    val sorted = edges.sortBy(e => (e._2, e._1))
+  def fromEdges(numRows: Int, numEdges: Int, src: Array[Int], dst: Array[Int], weight: Array[Double]): Csr = {
     val rowPtr = new Array[Int](numRows + 1)
-    sorted.foreach { case (_, d, _, _) => rowPtr(d + 1) += 1 }
     var i = 0
+    while (i < numEdges) { rowPtr(dst(i) + 1) += 1; i += 1 }
+    i = 0
     while (i < numRows) { rowPtr(i + 1) += rowPtr(i); i += 1 }
-    val col = new Array[Int](sorted.length)
-    val w = new Array[Double](sorted.length)
-    val eid = new Array[Int](sorted.length)
-    sorted.zipWithIndex.foreach { case ((s, _, wt, id), k) => col(k) = s; w(k) = wt; eid(k) = id }
+    val cursor = java.util.Arrays.copyOf(rowPtr, numRows + 1)
+    val col = new Array[Int](numEdges)
+    val w = new Array[Double](numEdges)
+    val eid = new Array[Int](numEdges)
+    i = 0
+    while (i < numEdges) {
+      val pos = cursor(dst(i)); cursor(dst(i)) += 1
+      col(pos) = src(i); w(pos) = weight(i); eid(pos) = i
+      i += 1
+    }
     new Csr(numRows, rowPtr, col, w, eid)
   }
 }

@@ -12,11 +12,13 @@ import scala.util.Random
   * edge-partitioning unit (`threads`).
   *
   * Layers cache forward intermediates, so one instance serves exactly one
-  * in-flight batch (the trainer builds a model per worker/partition).
-  * `applyOne` is the *model slice* used by GraphInfer's reducers: it computes
-  * the same function for a single node given its own and its in-edge
-  * neighbors' embeddings, and must agree with `forward` up to floating-point
-  * summation order.
+  * in-flight batch (the trainers build a model per worker/partition, and
+  * GraphInfer one per task).
+  * `applyOne` is the *model slice* used by GraphInfer's reducers: `forward`
+  * on a one-destination CSR built from a node's own and its in-edge
+  * neighbors' embeddings ([[GnnLayer.applyOne]]), so it equals the batch
+  * pass by construction. Every layer implements it with that one call; it
+  * stays abstract so that wrappers which delegate to a layer implement it.
   */
 trait GnnLayer extends Serializable {
   def inDim: Int
@@ -27,6 +29,24 @@ trait GnnLayer extends Serializable {
   def backward(adj: Csr, dOut: Mat): Mat
   def applyOne(self: Array[Double], neighbors: Array[Array[Double]]): Array[Double]
   def zeroGrads(): Unit = grads.foreach(g => java.util.Arrays.fill(g.data, 0.0))
+}
+
+object GnnLayer {
+  /** `layer.forward` for one node: row 0 of the batch is the node, rows
+    * 1..n are its in-neighbors in message order, and only row 0 is active.
+    * Returns row 0.
+    */
+  def applyOne(layer: GnnLayer, self: Array[Double], neighbors: Array[Array[Double]]): Array[Double] = {
+    val n = neighbors.length
+    val h = Mat.zeros(n + 1, self.length)
+    h.setRow(0, self)
+    var i = 0
+    while (i < n) { h.setRow(i + 1, neighbors(i)); i += 1 }
+    val rowPtr = Array.fill(n + 2)(n)
+    rowPtr(0) = 0
+    val adj = new Csr(n + 1, rowPtr, Array.range(1, n + 1), Array.fill(n)(1.0), Array.range(0, n), Array(0))
+    layer.forward(adj, h, 1).row(0)
+  }
 }
 
 object Act {
@@ -187,23 +207,8 @@ final class GcnLayer(val inDim: Int, val outDim: Int, val w: Mat, val b: Mat) ex
     adj.meanAggregateBackward(dAgg)
   }
 
-  def applyOne(self: Array[Double], neighbors: Array[Array[Double]]): Array[Double] = {
-    val agg = self.clone()
-    neighbors.foreach { nb => var i = 0; while (i < agg.length) { agg(i) += nb(i); i += 1 } }
-    val inv = 1.0 / (1 + neighbors.length)
-    var i = 0
-    while (i < agg.length) { agg(i) *= inv; i += 1 }
-    val out = new Array[Double](outDim)
-    var c = 0
-    while (c < outDim) {
-      var s = b.data(c)
-      var k = 0
-      while (k < inDim) { s += agg(k) * w.data(k * outDim + c); k += 1 }
-      out(c) = Act.relu(s)
-      c += 1
-    }
-    out
-  }
+  def applyOne(self: Array[Double], neighbors: Array[Array[Double]]): Array[Double] =
+    GnnLayer.applyOne(this, self, neighbors)
 }
 
 /** GraphSAGE layer with the "add" combiner noted in the paper's Table 3
@@ -238,28 +243,8 @@ final class SageLayer(val inDim: Int, val outDim: Int, val wSelf: Mat, val wNb: 
     dH
   }
 
-  def applyOne(self: Array[Double], neighbors: Array[Array[Double]]): Array[Double] = {
-    val nm = new Array[Double](inDim)
-    if (neighbors.nonEmpty) {
-      neighbors.foreach { nb => var i = 0; while (i < inDim) { nm(i) += nb(i); i += 1 } }
-      val inv = 1.0 / neighbors.length
-      var i = 0
-      while (i < inDim) { nm(i) *= inv; i += 1 }
-    }
-    val out = new Array[Double](outDim)
-    var c = 0
-    while (c < outDim) {
-      var s = b.data(c)
-      var k = 0
-      while (k < inDim) {
-        s += self(k) * wSelf.data(k * outDim + c) + nm(k) * wNb.data(k * outDim + c)
-        k += 1
-      }
-      out(c) = Act.relu(s)
-      c += 1
-    }
-    out
-  }
+  def applyOne(self: Array[Double], neighbors: Array[Array[Double]]): Array[Double] =
+    GnnLayer.applyOne(this, self, neighbors)
 }
 
 /** Single-head GAT layer (Veličković et al. 2017):
@@ -415,44 +400,8 @@ final class GatLayer(val inDim: Int, val outDim: Int, val w: Mat, val aDst: Mat,
     dz.mmNT(w)
   }
 
-  def applyOne(self: Array[Double], neighbors: Array[Array[Double]]): Array[Double] = {
-    def proj(x: Array[Double]): Array[Double] = {
-      val z = new Array[Double](outDim)
-      var c = 0
-      while (c < outDim) {
-        var s = 0.0
-        var k = 0
-        while (k < inDim) { s += x(k) * w.data(k * outDim + c); k += 1 }
-        z(c) = s
-        c += 1
-      }
-      z
-    }
-    val zSelf = proj(self)
-    val zNb = neighbors.map(proj)
-    def dot(a: Array[Double], b: Mat): Double = {
-      var s = 0.0; var c = 0
-      while (c < outDim) { s += a(c) * b.data(c); c += 1 }
-      s
-    }
-    val sD = dot(zSelf, aDst)
-    val scores = zNb.map(z => Act.leaky(sD + dot(z, aSrc))) :+ Act.leaky(sD + dot(zSelf, aSrc))
-    val mx = scores.max
-    val exps = scores.map(s => math.exp(s - mx))
-    val inv = 1.0 / exps.sum
-    val out = new Array[Double](outDim)
-    var j = 0
-    while (j < zNb.length) {
-      val a = exps(j) * inv
-      var c = 0
-      while (c < outDim) { out(c) += a * zNb(j)(c); c += 1 }
-      j += 1
-    }
-    val aS = exps.last * inv
-    var c = 0
-    while (c < outDim) { out(c) = Act.elu(out(c) + aS * zSelf(c)); c += 1 }
-    out
-  }
+  def applyOne(self: Array[Double], neighbors: Array[Array[Double]]): Array[Double] =
+    GnnLayer.applyOne(this, self, neighbors)
 }
 
 /** Final prediction slice: logits = H W + b over target rows only. */
@@ -486,19 +435,6 @@ final class Dense(val inDim: Int, val outDim: Int, val w: Mat, val b: Mat) exten
       r += 1
     }
     dOut.mmNT(w)
-  }
-
-  def applyOne(self: Array[Double]): Array[Double] = {
-    val out = new Array[Double](outDim)
-    var c = 0
-    while (c < outDim) {
-      var s = b.data(c)
-      var k = 0
-      while (k < inDim) { s += self(k) * w.data(k * outDim + c); k += 1 }
-      out(c) = s
-      c += 1
-    }
-    out
   }
 }
 

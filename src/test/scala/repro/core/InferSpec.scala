@@ -96,6 +96,33 @@ class InferSpec extends SparkSpec {
     }
   }
 
+  test("GraphInfer scores are bit-equal at 1 and 64 shuffle partitions and across runs") {
+    val tm = randomTm("gat", 2, 21)
+    val cfg = FlatConfig(2, UniformSampling(5), reindexThreshold = 20, numSalts = 4, seed = 11)
+    // coalescing off, so 64 partitions stay 64 (some empty, runs cut at every edge)
+    def run(partitions: Int): Map[Long, Seq[Double]] = withConf(
+        "spark.sql.shuffle.partitions" -> partitions.toString,
+        "spark.sql.adaptive.coalescePartitions.enabled" -> "false") {
+      val ds = GraphInfer.inferScores(spark, g.nodeDs(spark), g.edgeDs(spark), tm, cfg)
+      try ds.collect().map { case (id, s) => id -> s.toSeq }.toMap finally ds.unpersist()
+    }
+    val one = run(1)
+    assert(one.size == g.nodes.length)
+    assert(run(64) == one)
+    assert(run(64) == one)
+  }
+
+  /** Runs `f` with the given SQL settings, then restores the previous ones. */
+  private def withConf[T](kvs: (String, String)*)(f: => T): T = {
+    val saved = kvs.map { case (k, _) => k -> spark.conf.getOption(k) }
+    kvs.foreach { case (k, v) => spark.conf.set(k, v) }
+    try f
+    finally saved.foreach {
+      case (k, Some(v)) => spark.conf.set(k, v)
+      case (k, None)    => spark.conf.unset(k)
+    }
+  }
+
   /** GraphInfer's scores must equal OriginalInfer's on every node. */
   private def assertInferEqualsOriginal(g: LocalGraph, edges: Dataset[GEdge], tm: TrainedModel,
                                         cfg: FlatConfig): Unit = {

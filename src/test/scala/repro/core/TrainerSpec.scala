@@ -2,7 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.graph._
-import repro.nn.ModelSpec
+import repro.nn.{Model, ModelSpec}
 import repro.tables.Tables
 
 class TrainerSpec extends SparkSpec {
@@ -137,6 +137,33 @@ class TrainerSpec extends SparkSpec {
     val a = run(1); val b = run(64)
     assert(a.history.map(_.loss) == b.history.map(_.loss))
     a.model.params.zip(b.model.params).foreach { case (x, y) => assert(x.toSeq == y.toSeq) }
+  }
+
+  test("LocalTrainer returns its last parameters when no validation ran") {
+    def run(valSet: Array[Example]) = LocalTrainer.train(tinyEx("train"), valSet, spec("sage"),
+      TrainOpts(epochs = 2, batchSize = 64, lr = 0.02, evalEvery = 5)).model.params
+    val a = run(tinyEx("val")); val b = run(Array.empty)
+    a.zip(b).foreach { case (x, y) => assert(x.toSeq == y.toSeq) }
+  }
+
+  test("PsTrainer returns its last parameters when no validation ran") {
+    import spark.implicits._
+    val trainDs = spark.createDataset(flat(tinyEx("train").take(60).toIndexedSeq))
+    def run(valSet: Array[Example]) = PsTrainer.train(spark, trainDs, valSet, spec("gcn"),
+      PsOpts(epochs = 2, batchSize = 16, lr = 0.02, numWorkers = 2, evalEvery = 5)).model.params
+    val a = run(tinyEx("val")); val b = run(Array.empty)
+    a.zip(b).foreach { case (x, y) => assert(x.toSeq == y.toSeq) }
+  }
+
+  test("FullGraphTrainer without val nodes or without a validation epoch returns its last parameters") {
+    val noVal = tiny.copy(nodes = tiny.nodes.map(n => if (n.split == "val") n.copy(split = "test") else n))
+    val opts = TrainOpts(epochs = 3, batchSize = 0, lr = 0.02, threads = 2)
+    val a = FullGraphTrainer.train(noVal, spec("gcn"), opts)
+    val b = FullGraphTrainer.train(tiny, spec("gcn"), opts.copy(evalEvery = 5))
+    assert(a.bestVal.isNaN && b.bestVal.isNaN)
+    a.model.params.zip(b.model.params).foreach { case (x, y) => assert(x.toSeq == y.toSeq) }
+    val initial = Model.build(spec("gcn"), opts.seed).getParams
+    assert(a.model.params.zip(initial).exists { case (x, y) => x.toSeq != y.toSeq })
   }
 
   test("evaluate on a TrainedModel reproduces in-training evaluation") {

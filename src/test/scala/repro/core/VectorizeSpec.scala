@@ -104,13 +104,18 @@ class VectorizeSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Vectorize(Seq(Example(1, Array(0f), gf)), 1, prune = false))
   }
 
-  test("distancesToTargets computes shortest in-path hops") {
-    // chain 1→2→3 plus shortcut 1→3; distances to target 3
-    val edges = Seq((0, 1, 1.0, 0), (1, 2, 1.0, 1), (0, 2, 1.0, 2)) // ids are idxs
-    val d = Vectorize.distancesToTargets(3, edges, Array(2))
-    assert(d.toSeq == Seq(1, 1, 0))
-    val d2 = Vectorize.distancesToTargets(3, Seq((0, 1, 1.0, 0)), Array(2))
-    assert(d2(2) == 0 && d2(0) == Int.MaxValue && d2(1) == Int.MaxValue)
+  test("pruning keeps the rows within shortest in-path reach of the target (chain plus shortcut)") {
+    // rows: target 3 → 0, node 2 → 1, node 1 → 2; active rows per layer
+    def active(edges: GEdge*): Seq[Seq[Int]] = {
+      val gf = GraphFeature(3, Array(node(3), node(2), node(1)), edges.toArray)
+      Vectorize(Seq(Example(3, Array(1f), gf)), 2, prune = true).adjs.map(_.activeList.toSeq).toSeq
+    }
+    // chain 1→2→3 plus shortcut 1→3: both 1 and 2 are one hop from 3
+    assert(active(edge(1, 2), edge(2, 3), edge(1, 3)) == Seq(Seq(0, 1, 2), Seq(0)))
+    // the chain alone leaves 1 two hops away
+    assert(active(edge(1, 2), edge(2, 3)) == Seq(Seq(0, 1), Seq(0)))
+    // 1→2 alone never reaches the target
+    assert(active(edge(1, 2)) == Seq(Seq(0), Seq(0)))
   }
 
   test("empty batch is rejected") {

@@ -15,8 +15,13 @@ class CsrSpec extends AnyFunSuite {
       val s = rng.nextInt(n); val d = rng.nextInt(n)
       if (s != d) set += ((s, d))
     }
-    Csr.fromEdges(n, set.toSeq.zipWithIndex.map { case ((s, d), i) => (s, d, 1.0, i) })
+    val (src, dst) = set.toArray.unzip
+    Csr.fromEdges(n, src.length, src, dst, Array.fill(src.length)(1.0))
   }
+
+  /** A CSR from (src, dst, weight) edges in the given order. */
+  private def csrOf(n: Int, edges: (Int, Int, Double)*): Csr =
+    Csr.fromEdges(n, edges.length, edges.map(_._1).toArray, edges.map(_._2).toArray, edges.map(_._3).toArray)
 
   private def naiveMeanAgg(csr: Csr, h: Mat): Mat = {
     val out = Mat.zeros(csr.numRows, h.cols)
@@ -41,16 +46,17 @@ class CsrSpec extends AnyFunSuite {
     out
   }
 
-  test("fromEdges sorts by (dst, src) and preserves weights/edge ids") {
-    val csr = Csr.fromEdges(3, Seq((2, 0, 5.0, 7), (1, 0, 3.0, 4), (0, 2, 1.0, 1)))
+  test("fromEdges keeps input order within a row and numbers edges by input position") {
+    // the arrays are longer than numEdges: only the first three entries count
+    val csr = Csr.fromEdges(3, 3, Array(2, 1, 0, 9), Array(0, 0, 2, 9), Array(5.0, 3.0, 1.0, 9.0))
     assert(csr.rowPtr.toSeq == Seq(0, 2, 2, 3))
-    assert(csr.colIdx.toSeq == Seq(1, 2, 0)) // row 0 gets srcs 1,2 in order
-    assert(csr.weight.toSeq == Seq(3.0, 5.0, 1.0))
-    assert(csr.edgeId.toSeq == Seq(4, 7, 1))
+    assert(csr.colIdx.toSeq == Seq(2, 1, 0)) // row 0 keeps srcs 2,1 in input order
+    assert(csr.weight.toSeq == Seq(5.0, 3.0, 1.0))
+    assert(csr.edgeId.toSeq == Seq(0, 1, 2))
   }
 
   test("degree counts in-edges per destination") {
-    val csr = Csr.fromEdges(3, Seq((1, 0, 1.0, 0), (2, 0, 1.0, 1), (0, 2, 1.0, 2)))
+    val csr = csrOf(3, (1, 0, 1.0), (2, 0, 1.0), (0, 2, 1.0))
     assert(csr.degree(0) == 2 && csr.degree(1) == 0 && csr.degree(2) == 1)
   }
 
@@ -125,13 +131,13 @@ class CsrSpec extends AnyFunSuite {
   }
 
   test("toDense materializes weights") {
-    val csr = Csr.fromEdges(2, Seq((0, 1, 2.5, 0)))
+    val csr = csrOf(2, (0, 1, 2.5))
     val d = csr.toDense
     assert(d(1, 0) == 2.5 && d(0, 0) == 0.0 && d(0, 1) == 0.0)
   }
 
   test("empty graph aggregates to self mean") {
-    val csr = Csr.fromEdges(3, Seq.empty)
+    val csr = csrOf(3)
     val h = Mat.fromRows(Seq(Array(3.0), Array(6.0), Array(9.0)))
     assert(csr.meanAggregate(h, 1).approxEquals(h, 0.0))
     assert(csr.neighborMean(h, 1).approxEquals(Mat.zeros(3, 1), 0.0))

@@ -8,7 +8,7 @@ import scala.util.Random
   */
 object NnTestUtil {
 
-  case class TinyGraph(csr: Csr, x: Mat, edges: Seq[(Int, Int, Double, Int)])
+  case class TinyGraph(csr: Csr, x: Mat)
 
   def randomGraph(n: Int, e: Int, inDim: Int, seed: Long): TinyGraph = {
     val rng = new Random(seed)
@@ -19,8 +19,9 @@ object NnTestUtil {
       val s = rng.nextInt(n); val d = rng.nextInt(n)
       if (s != d) set += ((s, d))
     }
-    val edges = set.toSeq.zipWithIndex.map { case ((s, d), i) => (s, d, 0.5 + rng.nextDouble(), i) }
-    TinyGraph(Csr.fromEdges(n, edges), Mat.rand(n, inDim, rng), edges)
+    val (src, dst) = set.toArray.unzip
+    val w = Array.fill(src.length)(0.5 + rng.nextDouble())
+    TinyGraph(Csr.fromEdges(n, src.length, src, dst, w), Mat.rand(n, inDim, rng))
   }
 
   def randomBatch(spec: ModelSpec, n: Int, e: Int, numTargets: Int, seed: Long): VecBatch = {
