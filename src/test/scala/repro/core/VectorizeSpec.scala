@@ -104,7 +104,7 @@ class VectorizeSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Vectorize(Seq(Example(1, Array(0f), gf)), 1, prune = false))
   }
 
-  test("pruning keeps the rows within shortest in-path reach of the target (chain plus shortcut)") {
+  test("pruning keeps rows within shortest in-path reach (chain plus shortcut)") {
     // rows: target 3 → 0, node 2 → 1, node 1 → 2; active rows per layer
     def active(edges: GEdge*): Seq[Seq[Int]] = {
       val gf = GraphFeature(3, Array(node(3), node(2), node(1)), edges.toArray)
