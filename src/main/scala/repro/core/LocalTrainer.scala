@@ -9,8 +9,10 @@ import scala.util.Random
 /** Knobs of GraphTrainer's standalone mode, mirroring §3.3.2's optimization
   * strategies: `pipeline` overlaps subgraph vectorization with model
   * computation; `prune` enables per-layer pruned adjacencies; `partition`
-  * enables edge-partitioned multi-threaded aggregation with `threads`
-  * threads (partition = false forces 1 aggregation thread).
+  * runs every kernel of a training step (aggregation, its backward scatter
+  * and the dense products) edge-partitioned over `threads` threads, and
+  * `partition = false` runs all of them on one thread. None of the three
+  * changes a single bit of the result.
   */
 case class TrainOpts(
     epochs: Int,
@@ -148,16 +150,10 @@ object FullGraphTrainer {
     val x = Mat.fromRows(g.nodes.toIndexedSeq.map(_.feat.map(_.toDouble)))
     val csr = Csr.fromEdges(g.nodes.length, g.edges.length, g.edges.map(e => idOf(e.src)),
       g.edges.map(e => idOf(e.dst)), g.edges.map(_.weight.toDouble))
-    val eDim = if (g.edges.isEmpty) 1 else g.edges.head.feat.length
-    val eFeat = Mat.zeros(g.edges.length, eDim)
-    g.edges.zipWithIndex.foreach { case (e, i) =>
-      var d = 0
-      while (d < e.feat.length) { eFeat(i, d) = e.feat(d); d += 1 }
-    }
     val targetNodes = g.nodes.filter(_.split == split)
     val targets = targetNodes.map(nd => idOf(nd.id))
     val labels = Mat.fromRows(targetNodes.toIndexedSeq.map(_.label.map(_.toDouble)))
-    VecBatch(Array.fill(layers)(csr), x, eFeat, targets, labels)
+    VecBatch(Array.fill(layers)(csr), x, targets, labels)
   }
 
   def train(g: LocalGraph, spec: ModelSpec, opts: TrainOpts): TrainResult = {

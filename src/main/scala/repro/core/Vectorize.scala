@@ -6,8 +6,9 @@ import repro.nn.VecBatch
 import scala.collection.mutable
 
 /** Subgraph vectorization (§3.3.1): merge a batch of GraphFeatures into one
-  * subgraph and emit the three matrices A_B (as destination-sorted CSR),
-  * X_B and E_B, plus target indices and the label matrix.
+  * subgraph and emit A_B (as destination-sorted CSR) and X_B, plus target
+  * indices and the label matrix. No layer reads edge features, so E_B is
+  * not built.
   *
   * With `prune = true` the per-layer adjacencies A_B^(k) of the *graph
   * pruning* strategy (§3.3.2) are built: layer k keeps only edges whose
@@ -64,7 +65,6 @@ object Vectorize {
     val eSrc = new IntVec(math.max(16, totalEdges / 4))
     val eDst = new IntVec(math.max(16, totalEdges / 4))
     val eW = new DoubleVec(math.max(16, totalEdges / 4))
-    val eFeats = new mutable.ArrayBuffer[Array[Float]]()
     i = 0
     while (i < exArr.length) {
       val es = exArr(i).gf.edges
@@ -77,7 +77,7 @@ object Vectorize {
           s"edge (${e.src},${e.dst}) references a node absent from the merged subgraph")
         val key = (s.toLong << 32) | (d.toLong & 0xffffffffL)
         if (seen.add(key)) {
-          eSrc += s; eDst += d; eW += e.weight.toDouble; eFeats += e.feat
+          eSrc += s; eDst += d; eW += e.weight.toDouble
         }
         j += 1
       }
@@ -91,15 +91,6 @@ object Vectorize {
       val f = feats(i)
       var d = 0
       while (d < f.length) { x(i, d) = f(d); d += 1 }
-      i += 1
-    }
-    val eDim = if (m == 0) 0 else eFeats.head.length
-    val eFeat = Mat.zeros(m, math.max(eDim, 1))
-    i = 0
-    while (i < m) {
-      val f = eFeats(i)
-      var d = 0
-      while (d < eDim) { eFeat(i, d) = f(d); d += 1 }
       i += 1
     }
 
@@ -123,7 +114,7 @@ object Vectorize {
       while (c < numLabels) { labels(i, c) = l(c); c += 1 }
       i += 1
     }
-    VecBatch(adjs, x, eFeat, targets, labels)
+    VecBatch(adjs, x, targets, labels)
   }
 
   /** Growable primitive int vector (ArrayBuffer[Int] boxes). */
@@ -209,7 +200,6 @@ object Vectorize {
     val m = rowPtr(n)
     val col = new Array[Int](m)
     val w = new Array[Double](m)
-    val eid = new Array[Int](m)
     val actives = new Array[Int](nActive)
     var a = 0
     r = 0
@@ -219,11 +209,10 @@ object Vectorize {
         val from = full.rowPtr(r); val len = full.degree(r); val to = rowPtr(r)
         System.arraycopy(full.colIdx, from, col, to, len)
         System.arraycopy(full.weight, from, w, to, len)
-        System.arraycopy(full.edgeId, from, eid, to, len)
       }
       r += 1
     }
-    new Csr(n, rowPtr, col, w, eid, actives)
+    new Csr(n, rowPtr, col, w, actives)
   }
 
   /** Multi-source BFS distance d(V_B, u): hops from u to the nearest target

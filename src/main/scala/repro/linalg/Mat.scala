@@ -19,66 +19,66 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
 
   def copyMat: Mat = new Mat(rows, cols, data.clone())
 
-  /** C = this * b (no transpose). */
-  def mm(b: Mat): Mat = {
+  /** C = this * b (no transpose), in row chunks over `threads`. */
+  def mm(b: Mat, threads: Int = 1): Mat = {
     require(cols == b.rows, s"mm: ${rows}x$cols * ${b.rows}x${b.cols}")
     val out = Mat.zeros(rows, b.cols)
-    val m = rows; val n = b.cols; val k = cols
-    var i = 0
-    while (i < m) {
-      var p = 0
-      while (p < k) {
-        val a = data(i * k + p)
-        if (a != 0.0) {
-          var j = 0
-          val bo = p * n; val oo = i * n
-          while (j < n) { out.data(oo + j) += a * b.data(bo + j); j += 1 }
-        }
-        p += 1
-      }
-      i += 1
-    }
-    out
-  }
-
-  /** C = this^T * b. */
-  def mmTN(b: Mat): Mat = {
-    require(rows == b.rows, s"mmTN: ${rows}x$cols ^T * ${b.rows}x${b.cols}")
-    val out = Mat.zeros(cols, b.cols)
-    val m = cols; val n = b.cols; val k = rows
-    var p = 0
-    while (p < k) {
-      var i = 0
-      while (i < m) {
-        val a = data(p * m + i)
-        if (a != 0.0) {
-          var j = 0
-          val bo = p * n; val oo = i * n
-          while (j < n) { out.data(oo + j) += a * b.data(bo + j); j += 1 }
+    val n = b.cols; val k = cols
+    Par.overChunks(Par.ranges(rows, threads), threads) { case (i0, i1) =>
+      var i = i0
+      while (i < i1) {
+        var p = 0
+        while (p < k) {
+          val a = data(i * k + p)
+          if (a != 0.0) Mat.addScaled(out.data, i * n, b.data, p * n, a, n)
+          p += 1
         }
         i += 1
       }
-      p += 1
     }
     out
   }
 
-  /** C = this * b^T. */
-  def mmNT(b: Mat): Mat = {
+  /** C = this^T * b. Each thread owns a range of output rows and sums over
+    * the rows of `this` in ascending order, as one thread would.
+    */
+  def mmTN(b: Mat, threads: Int = 1): Mat = {
+    require(rows == b.rows, s"mmTN: ${rows}x$cols ^T * ${b.rows}x${b.cols}")
+    val out = Mat.zeros(cols, b.cols)
+    val m = cols; val n = b.cols; val k = rows
+    Par.overChunks(Par.ranges(m, threads), threads) { case (i0, i1) =>
+      var p = 0
+      while (p < k) {
+        var i = i0
+        while (i < i1) {
+          val a = data(p * m + i)
+          if (a != 0.0) Mat.addScaled(out.data, i * n, b.data, p * n, a, n)
+          i += 1
+        }
+        p += 1
+      }
+    }
+    out
+  }
+
+  /** C = this * b^T, in row chunks over `threads`. */
+  def mmNT(b: Mat, threads: Int = 1): Mat = {
     require(cols == b.cols, s"mmNT: ${rows}x$cols * ${b.rows}x${b.cols}^T")
     val out = Mat.zeros(rows, b.rows)
-    var i = 0
-    while (i < rows) {
-      var j = 0
-      while (j < b.rows) {
-        var p = 0
-        var s = 0.0
-        val ao = i * cols; val bo = j * cols
-        while (p < cols) { s += data(ao + p) * b.data(bo + p); p += 1 }
-        out.data(i * b.rows + j) = s
-        j += 1
+    Par.overChunks(Par.ranges(rows, threads), threads) { case (i0, i1) =>
+      var i = i0
+      while (i < i1) {
+        var j = 0
+        while (j < b.rows) {
+          var p = 0
+          var s = 0.0
+          val ao = i * cols; val bo = j * cols
+          while (p < cols) { s += data(ao + p) * b.data(bo + p); p += 1 }
+          out.data(i * b.rows + j) = s
+          j += 1
+        }
+        i += 1
       }
-      i += 1
     }
     out
   }
@@ -103,12 +103,6 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
   }
 
   def add(b: Mat): Mat = copyMat.axpy(1.0, b)
-
-  def scaleInPlace(alpha: Double): Mat = {
-    var i = 0
-    while (i < data.length) { data(i) *= alpha; i += 1 }
-    this
-  }
 
   def map(f: Double => Double): Mat = {
     val out = new Array[Double](data.length)
@@ -137,8 +131,6 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
     out
   }
 
-  def frobenius: Double = math.sqrt(data.map(x => x * x).sum)
-
   def approxEquals(b: Mat, tol: Double): Boolean =
     rows == b.rows && cols == b.cols &&
       data.indices.forall(i => math.abs(data(i) - b.data(i)) <= tol)
@@ -155,6 +147,14 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) extends S
 }
 
 object Mat {
+  /** out[oo, oo + n) += s * src[so, so + n): the inner loop of every
+    * accumulating kernel.
+    */
+  @inline def addScaled(out: Array[Double], oo: Int, src: Array[Double], so: Int, s: Double, n: Int): Unit = {
+    var j = 0
+    while (j < n) { out(oo + j) += s * src(so + j); j += 1 }
+  }
+
   def zeros(rows: Int, cols: Int): Mat = new Mat(rows, cols, new Array[Double](rows * cols))
 
   def fromRows(rows: Seq[Array[Double]]): Mat = {

@@ -34,13 +34,13 @@ case class ModelSpec(
 }
 
 /** A vectorized batch: per-layer adjacency (pruned or full), node features
-  * X_B, edge features E_B, target row indices, and the label matrix aligned
-  * with targets. Produced by `repro.core.Vectorize`.
+  * X_B, target row indices, and the label matrix aligned with targets.
+  * Produced by `repro.core.Vectorize`. No layer reads edge features, so E_B
+  * is not materialized.
   */
 case class VecBatch(
     adjs: Array[Csr],
     x: Mat,
-    eFeat: Mat,
     targets: Array[Int],
     labels: Mat
 )
@@ -126,14 +126,16 @@ final class Model(val spec: ModelSpec, val gnn: Array[GnnLayer], val predictor: 
   /** Target-row logits for a vectorized batch. */
   def predictLogits(vb: VecBatch, threads: Int): Mat = {
     val emb = forwardEmb(vb.adjs, vb.x, threads)
-    predictor.forward(emb.rowsAt(vb.targets))
+    predictor.forward(emb.rowsAt(vb.targets), threads)
   }
 
-  /** Loss + gradients (accumulated into fresh grad buffers) for a batch. */
+  /** Loss + gradients (accumulated into fresh grad buffers) for a batch.
+    * Every layer's backward runs over the `threads` of its forward.
+    */
   def lossAndGrad(vb: VecBatch, threads: Int): (Double, Array[Array[Double]]) = {
     zeroGrads()
     val emb = forwardEmb(vb.adjs, vb.x, threads)
-    val logits = predictor.forward(emb.rowsAt(vb.targets))
+    val logits = predictor.forward(emb.rowsAt(vb.targets), threads)
     val (loss, dLogits) =
       if (spec.task == "softmax") Loss.softmaxCE(logits, vb.labels)
       else Loss.bceLogits(logits, vb.labels)

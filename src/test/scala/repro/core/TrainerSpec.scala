@@ -47,6 +47,21 @@ class TrainerSpec extends SparkSpec {
     assert(a.history.map(_.loss) == b.history.map(_.loss))
   }
 
+  test("LocalTrainer is bit-equal at 1/2/3/7 threads, pipeline and pruning on or off") {
+    for (kind <- Seq("gcn", "sage", "gat")) {
+      def run(threads: Int, pipeline: Boolean, prune: Boolean) = LocalTrainer.train(
+        tinyEx("train"), tinyEx("val"), spec(kind),
+        TrainOpts(epochs = 2, batchSize = 64, lr = 0.02, threads = threads, prune = prune, pipeline = pipeline))
+      val ref = run(1, pipeline = false, prune = false)
+      for (t <- Seq(1, 2, 3, 7); pipeline <- Seq(false, true); prune <- Seq(false, true)) {
+        val res = run(t, pipeline, prune)
+        val what = s"$kind, $t threads, pipeline $pipeline, prune $prune"
+        assert(res.history.map(h => (h.loss, h.valMetric)) == ref.history.map(h => (h.loss, h.valMetric)), what)
+        res.model.params.zip(ref.model.params).foreach { case (x, y) => assert(x.toSeq == y.toSeq, what) }
+      }
+    }
+  }
+
   test("LocalTrainer is deterministic in its seed") {
     def run() = LocalTrainer.train(tinyEx("train"), Array.empty, spec("gcn"),
       TrainOpts(epochs = 3, batchSize = 64, lr = 0.02, seed = 77))

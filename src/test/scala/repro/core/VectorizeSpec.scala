@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph._
+import repro.linalg.CsrTestUtil
 import repro.nn.{Model, ModelSpec}
 
 class VectorizeSpec extends AnyFunSuite {
@@ -23,14 +24,13 @@ class VectorizeSpec extends AnyFunSuite {
     assert(vb.adjs.length == 2)
     assert(vb.adjs(0).nnz == 4)
     assert(vb.labels.rows == 1 && vb.labels(0, 0) == 1.0)
-    assert(vb.eFeat.rows == 4)
   }
 
   test("adjacency is destination-sorted with correct endpoints") {
     val ex = Example(4, Array(1f), diamondGf)
     val vb = Vectorize(Seq(ex), 1, prune = false)
     val csr = vb.adjs(0)
-    val dense = csr.toDense
+    val dense = CsrTestUtil.toDense(csr)
     // row = dst idx, col = src idx; idx(4)=0, idx(2)=1, idx(3)=2, idx(1)=3
     assert(dense(0, 1) == 1.0 && dense(0, 2) == 1.0) // 2→4, 3→4
     assert(dense(1, 3) == 1.0 && dense(2, 3) == 1.0) // 1→2, 1→3

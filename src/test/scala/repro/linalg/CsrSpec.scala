@@ -52,7 +52,6 @@ class CsrSpec extends AnyFunSuite {
     assert(csr.rowPtr.toSeq == Seq(0, 2, 2, 3))
     assert(csr.colIdx.toSeq == Seq(2, 1, 0)) // row 0 keeps srcs 2,1 in input order
     assert(csr.weight.toSeq == Seq(5.0, 3.0, 1.0))
-    assert(csr.edgeId.toSeq == Seq(0, 1, 2))
   }
 
   test("degree counts in-edges per destination") {
@@ -92,7 +91,7 @@ class CsrSpec extends AnyFunSuite {
       val h = Mat.rand(10, 4, new Random(seed))
       val g = Mat.rand(10, 4, new Random(seed + 50))
       val lhs = csr.meanAggregate(h, 1).data.zip(g.data).map { case (a, b) => a * b }.sum
-      val rhs = h.data.zip(csr.meanAggregateBackward(g).data).map { case (a, b) => a * b }.sum
+      val rhs = h.data.zip(csr.meanAggregateBackward(g, 1).data).map { case (a, b) => a * b }.sum
       assert(math.abs(lhs - rhs) < 1e-9, s"adjoint mismatch $lhs vs $rhs")
     }
   }
@@ -103,15 +102,15 @@ class CsrSpec extends AnyFunSuite {
       val h = Mat.rand(10, 4, new Random(seed))
       val g = Mat.rand(10, 4, new Random(seed + 50))
       val lhs = csr.neighborMean(h, 1).data.zip(g.data).map { case (a, b) => a * b }.sum
-      val rhs = h.data.zip(csr.neighborMeanBackward(g).data).map { case (a, b) => a * b }.sum
+      val rhs = h.data.zip(csr.neighborMeanBackward(g, 1).data).map { case (a, b) => a * b }.sum
       assert(math.abs(lhs - rhs) < 1e-9)
     }
   }
 
-  test("rowChunks covers all rows exactly once, in order") {
+  test("activeChunks covers all active positions exactly once, in order") {
     for (seed <- 0 until 5; t <- Seq(1, 2, 3, 8, 100)) {
       val csr = randomCsr(23, 60, seed)
-      val chunks = csr.rowChunks(t)
+      val chunks = csr.activeChunks(t)
       assert(chunks.head._1 == 0 && chunks.last._2 == 23)
       chunks.sliding(2).foreach {
         case Array((_, e1), (s2, _)) => assert(e1 == s2)
@@ -121,9 +120,9 @@ class CsrSpec extends AnyFunSuite {
     }
   }
 
-  test("rowChunks balances edges approximately") {
+  test("activeChunks balances edges approximately") {
     val csr = randomCsr(100, 1000, 3)
-    val chunks = csr.rowChunks(4)
+    val chunks = csr.activeChunks(4)
     val loads = chunks.map { case (a, b) => (a until b).map(csr.degree).sum }
     assert(loads.sum == csr.nnz)
     assert(loads.max <= csr.nnz) // sanity; strict balance is best-effort
@@ -132,7 +131,7 @@ class CsrSpec extends AnyFunSuite {
 
   test("toDense materializes weights") {
     val csr = csrOf(2, (0, 1, 2.5))
-    val d = csr.toDense
+    val d = CsrTestUtil.toDense(csr)
     assert(d(1, 0) == 2.5 && d(0, 0) == 0.0 && d(0, 1) == 0.0)
   }
 

@@ -93,12 +93,6 @@ class MatSpec extends AnyFunSuite {
     assert(r(0, 0) == 0.0 && r(0, 1) == 2.0)
   }
 
-  test("scaleInPlace multiplies all entries") {
-    val a = Mat.fromRows(Seq(Array(1.0, -2.0)))
-    a.scaleInPlace(3.0)
-    assert(a(0, 0) == 3.0 && a(0, 1) == -6.0)
-  }
-
   test("xavier init is deterministic in seed and bounded") {
     val a = Mat.xavier(20, 30, new Random(5))
     val b = Mat.xavier(20, 30, new Random(5))
@@ -120,10 +114,5 @@ class MatSpec extends AnyFunSuite {
   test("shape mismatch is rejected") {
     intercept[IllegalArgumentException](randMat(2, 3, 0).mm(randMat(2, 3, 1)))
     intercept[IllegalArgumentException](randMat(2, 3, 0).axpy(1.0, randMat(3, 2, 1)))
-  }
-
-  test("frobenius norm of a 3-4-5 triangle") {
-    val a = Mat.fromRows(Seq(Array(3.0, 0.0), Array(0.0, 4.0)))
-    assert(math.abs(a.frobenius - 5.0) < 1e-12)
   }
 }

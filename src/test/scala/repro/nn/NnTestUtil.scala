@@ -33,7 +33,7 @@ object NnTestUtil {
       if (spec.task == "softmax") labels(i, rng.nextInt(spec.numClasses)) = 1.0
       else for (c <- 0 until spec.numClasses) labels(i, c) = if (rng.nextBoolean()) 1.0 else 0.0
     }
-    VecBatch(Array.fill(spec.layers)(g.csr), g.x, Mat.zeros(e, 1), targets, labels)
+    VecBatch(Array.fill(spec.layers)(g.csr), g.x, targets, labels)
   }
 
   /** Central-difference gradient check over a deterministic sample of
