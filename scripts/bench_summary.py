@@ -88,6 +88,7 @@ def summarize(parent_records, change_records, spec, date):
         pr = [r for r in parent_records if r["workload"] == wl]
         cr = [r for r in change_records if r["workload"] == wl]
         docs[wl] = {"workload": wl, "date": date, "command": spec["command"] + ["--workload", wl],
+                    "run_seconds": spec.get("run_seconds"),
                     "parent": side(pr, defs), "change": side(cr, defs), "pairs": pairs(pr, cr, defs)}
     return docs
 
