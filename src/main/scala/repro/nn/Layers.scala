@@ -16,11 +16,12 @@ import scala.util.Random
   * GraphInfer one per task). `backward` runs over the `threads` of the last
   * `forward`, cached with them; every kernel gives the same bits at every
   * thread count.
-  * `applyOne` is the *model slice* used by GraphInfer's reducers: `forward`
-  * on a one-destination CSR built from a node's own and its in-edge
-  * neighbors' embeddings ([[GnnLayer.applyOne]]), so it equals the batch
-  * pass by construction. Every layer implements it with that one call; it
-  * stays abstract so that wrappers which delegate to a layer implement it.
+  * GraphInfer's layer slice is `forward` itself, called once per partition
+  * block. `applyOne` is `forward` for a single node, on a one-destination
+  * CSR built from the node's own and its in-edge neighbors' embeddings
+  * ([[GnnLayer.applyOne]]); no inference path calls it. It stays in the
+  * trait only because perfbench's `CountingModel` counts its calls, and it
+  * can go once the benchmark reads GraphInfer's embedding accumulator.
   */
 trait GnnLayer extends Serializable {
   def inDim: Int

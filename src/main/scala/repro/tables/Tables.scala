@@ -239,8 +239,9 @@ object Tables {
     val tOrig = (System.nanoTime() - t0) / 1000000L
 
     // GraphInfer: sliced message passing, each embedding computed once
+    val giEmbAcc = spark.sparkContext.longAccumulator("graphInferEmb")
     val t1 = System.nanoTime()
-    val giScores = GraphInfer.inferScores(spark, nodes, edges, tm, cfg)
+    val giScores = GraphInfer.inferScores(spark, nodes, edges, tm, cfg, Some(giEmbAcc))
     val n = giScores.count()
     val tGi = (System.nanoTime() - t1) / 1000000L
 
@@ -255,7 +256,7 @@ object Tables {
       originalMs = tOrig,
       graphInferMs = tGi,
       originalEmbComputations = embAcc.value,
-      graphInferEmbComputations = n * spec.layers,
+      graphInferEmbComputations = giEmbAcc.value,
       originalNodeRecords = recAcc.value,
       graphInferNodeRecords = n,
       maxScoreDiff = maxDiff,

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.{HashPartitioner, SparkException}
 import org.apache.spark.sql.Dataset
 import repro.SparkSpec
 import repro.graph._
@@ -96,20 +97,32 @@ class InferSpec extends SparkSpec {
     }
   }
 
-  test("GraphInfer scores are bit-equal at 1 and 64 shuffle partitions and across runs") {
+  test("GraphInfer scores are bit-equal at 1, 7 and 64 partitions, coalescing on/off") {
     val tm = randomTm("gat", 2, 21)
     val cfg = FlatConfig(2, UniformSampling(5), reindexThreshold = 20, numSalts = 4, seed = 11)
-    // coalescing off, so 64 partitions stay 64 (some empty, runs cut at every edge)
-    def run(partitions: Int): Map[Long, Seq[Double]] = withConf(
+    // GraphFlat's sampler shuffles with the same partition count; at 64 some blocks are empty
+    def run(partitions: Int, coalesce: Boolean): Map[Long, Seq[Double]] = withConf(
         "spark.sql.shuffle.partitions" -> partitions.toString,
-        "spark.sql.adaptive.coalescePartitions.enabled" -> "false") {
-      val ds = GraphInfer.inferScores(spark, g.nodeDs(spark), g.edgeDs(spark), tm, cfg)
+        "spark.sql.adaptive.coalescePartitions.enabled" -> coalesce.toString) {
+      val ds = GraphInfer.scoresAt(partitions, spark, g.nodeDs(spark), g.edgeDs(spark), tm, cfg)
       try ds.collect().map { case (id, s) => id -> s.toSeq }.toMap finally ds.unpersist()
     }
-    val one = run(1)
+    val one = run(1, coalesce = false)
     assert(one.size == g.nodes.length)
-    assert(run(64) == one)
-    assert(run(64) == one)
+    for (partitions <- Seq(1, 7, 64); coalesce <- Seq(false, true))
+      assert(run(partitions, coalesce) == one, s"$partitions partitions, coalescing $coalesce")
+    assert(run(64, coalesce = false) == one)
+  }
+
+  test("GraphInfer counts one embedding per node and layer") {
+    val tm = randomTm("sage", 2, 3)
+    val cfg = FlatConfig(2, UniformSampling(5), reindexThreshold = 20, numSalts = 4, seed = 11)
+    val scoreAcc = spark.sparkContext.longAccumulator
+    GraphInfer.inferScores(spark, g.nodeDs(spark), g.edgeDs(spark), tm, cfg, Some(scoreAcc)).unpersist()
+    val embAcc = spark.sparkContext.longAccumulator
+    GraphInfer.inferEmbeddings(spark, g.nodeDs(spark), g.edgeDs(spark), tm, cfg, Some(embAcc)).unpersist()
+    assert(scoreAcc.value == 2L * g.nodes.length)
+    assert(embAcc.value == 2L * g.nodes.length)
   }
 
   /** Runs `f` with the given SQL settings, then restores the previous ones. */
@@ -123,11 +136,16 @@ class InferSpec extends SparkSpec {
     }
   }
 
-  /** GraphInfer's scores must equal OriginalInfer's on every node. */
+  /** GraphInfer's scores must equal OriginalInfer's on every node; `partitions`
+    * pins GraphInfer's block partition count.
+    */
   private def assertInferEqualsOriginal(g: LocalGraph, edges: Dataset[GEdge], tm: TrainedModel,
-                                        cfg: FlatConfig): Unit = {
-    val gi = GraphInfer.inferScores(spark, g.nodeDs(spark), edges, tm, cfg).collect().toMap
-    val orig = OriginalInfer.inferScores(spark, g.nodeDs(spark), edges, tm, cfg).collect().toMap
+                                        cfg: FlatConfig, partitions: Option[Int] = None): Unit = {
+    val nodes = g.nodeDs(spark)
+    val gi = partitions
+      .fold(GraphInfer.inferScores(spark, nodes, edges, tm, cfg))(GraphInfer.scoresAt(_, spark, nodes, edges, tm, cfg))
+      .collect().toMap
+    val orig = OriginalInfer.inferScores(spark, nodes, edges, tm, cfg).collect().toMap
     assert(gi.keySet == g.nodes.map(_.id).toSet && orig.keySet == gi.keySet)
     gi.keys.foreach { id =>
       val worst = gi(id).zip(orig(id)).map { case (a, b) => math.abs(a - b) }.max
@@ -156,6 +174,32 @@ class InferSpec extends SparkSpec {
     val g = CoreTestUtil.toyGraph(8, (1L to 6L).map(i => (i, 7L)) :+ ((7L, 8L)))
     assertInferEqualsOriginal(g, g.edgeDs(spark), toyTm(4),
       FlatConfig(4, UniformSampling(2), reindexThreshold = 3, numSalts = 2, seed = 6))
+  }
+
+  test("GraphInfer equals Original with more partitions than nodes") {
+    val g = CoreTestUtil.toyGraph(5, Seq((1L, 2L), (2L, 3L), (3L, 4L), (4L, 5L), (5L, 1L)))
+    assertInferEqualsOriginal(g, g.edgeDs(spark), toyTm(2), FlatConfig(2, UniformSampling(2), seed = 2), Some(16))
+  }
+
+  test("GraphInfer equals Original when an edge's source is not a node") {
+    val g = CoreTestUtil.toyGraph(4, Seq((1L, 2L), (9L, 2L), (3L, 2L), (2L, 4L), (9L, 4L)))
+    assertInferEqualsOriginal(g, g.edgeDs(spark), toyTm(2), FlatConfig(2, UniformSampling(2), seed = 4), Some(3))
+  }
+
+  test("GraphInfer equals Original on a hub whose in-edges come from every partition") {
+    val hubSources = 2L to 12L
+    assert(hubSources.map(new HashPartitioner(4).getPartition).toSet == (0 until 4).toSet)
+    val g = CoreTestUtil.toyGraph(12, hubSources.map(i => (i, 1L)) ++ Seq((1L, 2L), (3L, 2L)))
+    assertInferEqualsOriginal(g, g.edgeDs(spark), toyTm(2),
+      FlatConfig(2, UniformSampling(8), reindexThreshold = 5, numSalts = 4, seed = 3), Some(4))
+  }
+
+  test("GraphInfer fails when an edge's destination is not a node") {
+    val g = CoreTestUtil.toyGraph(3, Seq((1L, 2L), (2L, 99L)))
+    val e = intercept[SparkException] {
+      GraphInfer.inferScores(spark, g.nodeDs(spark), g.edgeDs(spark), toyTm(1), FlatConfig(1, seed = 1))
+    }
+    assert(e.getMessage.contains("node 99 lost its self message"))
   }
 
   test("GraphInfer.inferScores leaves only its result cached") {
