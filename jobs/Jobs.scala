@@ -9,8 +9,9 @@ import repro.tables.Tables
 object JobSession {
   /** Broadcast joins are off, so joins exercise the shuffle path. Adaptive
     * execution may coalesce the partitions of persisted Datasets too (the
-    * per-round states of GraphFlat and GraphInfer), not only of plain
-    * queries; without that every stage that reads one runs 64 small tasks.
+    * per-round states of GraphFlat), not only of plain queries; without that
+    * every stage that reads one runs 64 small tasks. GraphInfer's rounds are
+    * RDDs over min(shuffle partitions, defaultParallelism) partitions.
     */
   def build(name: String): SparkSession =
     SparkSession.builder

@@ -27,16 +27,16 @@ import repro.nn.{GnnLayer, Model, TrainedModel}
   *
   * The rounds run over per-partition blocks, hash-partitioned on node id into
   * `min(spark.sql.shuffle.partitions, defaultParallelism)` partitions. Each
-  * call first caches, per partition, the node state as one [[Block]], the
+  * call first caches, per partition, the node state as one `Block`, the
   * sampled in-edges into its nodes sorted by (dst, order), and a route table:
-  * for every other partition, the rows it reads. A round then ships each
+  * for every other partition, the rows of this one it reads. A round ships each
   * source embedding once to each partition that reads it (one packed block
   * per pair of partitions, as GraphX routes replicated vertices), and each
   * partition stacks its own and its received rows into one `Mat`, builds one
   * `Csr` whose rows keep the merge order, and calls the training layer's
   * `forward` once with its own rows active. The prediction slice is one
-  * `Dense.forward` + `Model.activateScores` per block. Each round ends with
-  * one `count`, and the call with one more.
+  * `Dense.forward` + `Model.activateScores` per block. Set-up and each round
+  * end with one `count`, and the call with one more.
   *
   * Shuffled values are case classes: Spark sends a pair RDD whose key and
   * value are both primitives or primitive arrays through Kryo, which needs
@@ -84,7 +84,8 @@ object GraphInfer {
   }
 
   /** Full pipeline: K embedding rounds + the prediction slice. Returns
-    * per-node task scores (softmax probs / sigmoids).
+    * per-node task scores (softmax probs / sigmoids). `embAcc` as in
+    * [[inferEmbeddings]].
     */
   def inferScores(
       spark: SparkSession,
