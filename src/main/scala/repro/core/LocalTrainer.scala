@@ -8,11 +8,10 @@ import scala.util.Random
 
 /** Knobs of GraphTrainer's standalone mode, mirroring §3.3.2's optimization
   * strategies: `pipeline` overlaps subgraph vectorization with model
-  * computation; `prune` enables per-layer pruned adjacencies; `partition`
-  * runs every kernel of a training step (aggregation, its backward scatter
-  * and the dense products) edge-partitioned over `threads` threads, and
-  * `partition = false` runs all of them on one thread. None of the three
-  * changes a single bit of the result.
+  * computation; `prune` enables per-layer pruned adjacencies; every kernel of
+  * a training step (aggregation, its backward scatter and the dense products)
+  * runs edge-partitioned over `threads` threads, and `threads = 1` runs all of
+  * them on one thread. None of the three changes a single bit of the result.
   */
 case class TrainOpts(
     epochs: Int,
@@ -21,12 +20,9 @@ case class TrainOpts(
     seed: Long = 42L,
     threads: Int = Runtime.getRuntime.availableProcessors(),
     prune: Boolean = true,
-    partition: Boolean = true,
     pipeline: Boolean = true,
     evalEvery: Int = 1
-) {
-  def aggThreads: Int = if (partition) threads else 1
-}
+)
 
 case class EpochStat(epoch: Int, loss: Double, timeMs: Long, valMetric: Double)
 
@@ -35,8 +31,38 @@ case class TrainResult(model: TrainedModel, history: Vector[EpochStat]) {
     val vals = history.map(_.valMetric).filterNot(_.isNaN)
     if (vals.isEmpty) Double.NaN else vals.max
   }
-  def avgEpochMs: Double =
-    if (history.isEmpty) 0 else history.map(_.timeMs.toDouble).sum / history.size
+}
+
+object TrainResult {
+
+  /** The epoch loop of every trainer, standalone or parameter-server (§3.3).
+    * It builds the model and its Adam state from `spec`, `seed` and `lr`.
+    * Each epoch `step(model, adam, epoch)` trains and returns the epoch's
+    * loss; `EpochStat.timeMs` times exactly that call. Every `evalEvery`
+    * epochs `validate` scores the model, outside the timed span. The result
+    * holds the best validated parameters, or the last ones when no
+    * validation ran.
+    */
+  def loop(spec: ModelSpec, seed: Long, lr: Double, epochs: Int, evalEvery: Int,
+      validate: Option[Model => Double])(step: (Model, Adam, Int) => Double): TrainResult = {
+    val model = Model.build(spec, seed)
+    val adam = new Adam(model.paramShapes, lr)
+    var bestVal = Double.NegativeInfinity
+    var bestParams: Option[Array[Array[Double]]] = None
+    val history = (1 to epochs).map { epoch =>
+      val t0 = System.nanoTime()
+      val loss = step(model, adam, epoch)
+      val ms = (System.nanoTime() - t0) / 1000000L
+      val valMetric = validate match {
+        case Some(v) if epoch % evalEvery == 0 => v(model)
+        case _                                 => Double.NaN
+      }
+      // NaN, an epoch without validation, compares false
+      if (valMetric > bestVal) { bestVal = valMetric; bestParams = Some(model.getParams) }
+      EpochStat(epoch, loss, ms, valMetric)
+    }.toVector
+    TrainResult(TrainedModel(spec, bestParams.getOrElse(model.getParams)), history)
+  }
 }
 
 /** GraphTrainer in standalone mode (§3.3): mini-batch training over
@@ -53,37 +79,21 @@ object LocalTrainer {
       spec: ModelSpec,
       opts: TrainOpts
   ): TrainResult = {
-    val model = Model.build(spec, opts.seed)
-    val adam = new Adam(model.paramShapes, opts.lr)
+    require(trainSet.nonEmpty, "LocalTrainer: the training set is empty")
     val rng = new Random(opts.seed)
-    var bestVal = Double.NegativeInfinity
-    var bestParams: Option[Array[Array[Double]]] = None
-    val history = Vector.newBuilder[EpochStat]
-
-    for (epoch <- 1 to opts.epochs) {
-      val t0 = System.nanoTime()
+    val validate = Option.when(valSet.nonEmpty)((m: Model) =>
+      evaluate(m, valSet, opts.batchSize, opts.threads, opts.prune))
+    TrainResult.loop(spec, opts.seed, opts.lr, opts.epochs, opts.evalEvery, validate) { (model, adam, _) =>
       val order = rng.shuffle(trainSet.indices.toList)
       val batches = order.grouped(opts.batchSize).map(_.map(trainSet).toSeq).toSeq
       var lossSum = 0.0
-      var nb = 0
       foreachVectorized(batches, spec.layers, opts) { vb =>
-        val (loss, grads) = model.lossAndGrad(vb, opts.aggThreads)
+        val (loss, grads) = model.lossAndGrad(vb, opts.threads)
         adam.step(model.getParamsRef, grads)
         lossSum += loss
-        nb += 1
       }
-      val ms = (System.nanoTime() - t0) / 1000000L
-      val valMetric =
-        if (valSet.nonEmpty && epoch % opts.evalEvery == 0)
-          evaluate(model, valSet, opts.batchSize, opts.aggThreads, opts.prune)
-        else Double.NaN
-      if (!valMetric.isNaN && valMetric > bestVal) {
-        bestVal = valMetric; bestParams = Some(model.getParams)
-      }
-      history += EpochStat(epoch, lossSum / math.max(nb, 1), ms, valMetric)
+      lossSum / batches.size
     }
-    // the best validated parameters, or the last ones when no validation ran
-    TrainResult(TrainedModel(spec, bestParams.getOrElse(model.getParams)), history.result())
   }
 
   /** Run `f` over vectorized batches, optionally pipelined (§3.3.2). */
@@ -157,28 +167,18 @@ object FullGraphTrainer {
   }
 
   def train(g: LocalGraph, spec: ModelSpec, opts: TrainOpts): TrainResult = {
+    require(g.split("train").nonEmpty, "FullGraphTrainer: the training split is empty")
     val trainVb = vectorizeFull(g, spec.layers, "train")
     // a graph without val nodes trains like an empty validation set
-    val valVb = if (g.split("val").isEmpty) None else Some(vectorizeFull(g, spec.layers, "val"))
-    val model = Model.build(spec, opts.seed)
-    val adam = new Adam(model.paramShapes, opts.lr)
-    var bestVal = Double.NegativeInfinity
-    var bestParams: Option[Array[Array[Double]]] = None
-    val history = Vector.newBuilder[EpochStat]
-    for (epoch <- 1 to opts.epochs) {
-      val t0 = System.nanoTime()
-      val (loss, grads) = model.lossAndGrad(trainVb, opts.aggThreads)
-      adam.step(model.getParamsRef, grads)
-      val ms = (System.nanoTime() - t0) / 1000000L
-      val valMetric = valVb match {
-        case Some(vb) if epoch % opts.evalEvery == 0 =>
-          Metrics.forTask(spec.task, model.predictScores(vb, opts.aggThreads), vb.labels)
-        case _ => Double.NaN
-      }
-      if (!valMetric.isNaN && valMetric > bestVal) { bestVal = valMetric; bestParams = Some(model.getParams) }
-      history += EpochStat(epoch, loss, ms, valMetric)
+    val validate = Option.when(g.split("val").nonEmpty) {
+      val vb = vectorizeFull(g, spec.layers, "val")
+      (m: Model) => Metrics.forTask(spec.task, m.predictScores(vb, opts.threads), vb.labels)
     }
-    TrainResult(TrainedModel(spec, bestParams.getOrElse(model.getParams)), history.result())
+    TrainResult.loop(spec, opts.seed, opts.lr, opts.epochs, opts.evalEvery, validate) { (model, adam, _) =>
+      val (loss, grads) = model.lossAndGrad(trainVb, opts.threads)
+      adam.step(model.getParamsRef, grads)
+      loss
+    }
   }
 
   def evaluateFull(g: LocalGraph, tm: TrainedModel, split: String, threads: Int): Double = {

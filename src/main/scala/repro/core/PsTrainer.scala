@@ -57,29 +57,24 @@ object PsTrainer {
     try {
       require(rdd.count() > 0, "PsTrainer: the training set is empty")
 
-      val proto = Model.build(spec, opts.seed)
-      val params = proto.getParamsRef
-      val adam = new Adam(proto.paramShapes, opts.lr)
-      var bestVal = Double.NegativeInfinity
-      var bestParams: Option[Array[Array[Double]]] = None
-      val history = Vector.newBuilder[EpochStat]
       val layers = spec.layers
       val prune = opts.prune
       val batchSize = opts.batchSize
       val threads = opts.threadsPerWorker
       val specB = spec
+      val validate = Option.when(valSet.nonEmpty)((m: Model) =>
+        LocalTrainer.evaluate(m, valSet, batchSize, threads, prune))
 
-      for (epoch <- 1 to opts.epochs) {
-        val t0 = System.nanoTime()
-        val bc = sc.broadcast(proto.getParams)
+      TrainResult.loop(spec, opts.seed, opts.lr, opts.epochs, opts.evalEvery, validate) { (model, adam, epoch) =>
+        val bc = sc.broadcast(model.getParams)
         val epochSeed = opts.seed + epoch
         // Worker results are summed at the driver in partition order, so a
         // step does not depend on which worker finishes first (treeReduce
         // merges in task-completion order, which can flip the last bits).
         val (gradSum, lossSum, nExamples) = rdd
           .mapPartitionsWithIndex { (pid, it) =>
-            val model = Model.build(specB, 0L)
-            model.setParams(bc.value)
+            val replica = Model.build(specB, 0L)
+            replica.setParams(bc.value)
             val rng = new scala.util.Random(epochSeed * 1000003L + pid)
             val exs = rng.shuffle(it.toList)
             if (exs.isEmpty) Iterator.empty
@@ -87,12 +82,12 @@ object PsTrainer {
               // per-batch losses/gradients are means over the batch; weight by
               // batch size so the aggregate is the exact mean over all examples
               // regardless of how the shards are balanced.
-              val acc = model.paramShapes.map(new Array[Double](_))
+              val acc = replica.paramShapes.map(new Array[Double](_))
               var loss = 0.0
               var nEx = 0L
               exs.grouped(batchSize).foreach { batch =>
                 val vb = Vectorize(batch, layers, prune)
-                val (l, g) = model.lossAndGrad(vb, threads)
+                val (l, g) = replica.lossAndGrad(vb, threads)
                 val w = batch.length.toDouble
                 var p = 0
                 while (p < g.length) {
@@ -119,18 +114,10 @@ object PsTrainer {
           while (i < g.length) { g(i) /= totalEx; i += 1 }
           p += 1
         }
-        adam.step(params, gradSum)
+        adam.step(model.getParamsRef, gradSum)
         bc.destroy()
-        val ms = (System.nanoTime() - t0) / 1000000L
-        val valMetric =
-          if (valSet.nonEmpty && epoch % opts.evalEvery == 0)
-            LocalTrainer.evaluate(proto, valSet, batchSize, threads, prune)
-          else Double.NaN
-        if (!valMetric.isNaN && valMetric > bestVal) { bestVal = valMetric; bestParams = Some(proto.getParams) }
-        history += EpochStat(epoch, lossSum / totalEx, ms, valMetric)
+        lossSum / totalEx
       }
-      // the best validated parameters, or the last ones when no validation ran
-      TrainResult(TrainedModel(spec, bestParams.getOrElse(proto.getParams)), history.result())
     } finally rdd.unpersist(blocking = true)
   }
 

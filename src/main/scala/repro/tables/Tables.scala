@@ -176,8 +176,8 @@ object Tables {
     val rows = for (kind <- Seq("gcn", "sage", "gat"); k <- depths) yield {
       val spec = ppiSpec(kind, k)
       def run(prune: Boolean, partition: Boolean): Double = {
-        val opts = TrainOpts(epochs, batch, lr = 0.01, threads = threads,
-          prune = prune, partition = partition, pipeline = true, evalEvery = 1000)
+        val opts = TrainOpts(epochs, batch, lr = 0.01, threads = if (partition) threads else 1,
+          prune = prune, pipeline = true, evalEvery = 1000)
         timedEpochMs(LocalTrainer.train(exByK(k), Array.empty, spec, opts).history)
       }
       val full = timedEpochMs(FullGraphTrainer.train(g, spec,

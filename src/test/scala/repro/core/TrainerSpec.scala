@@ -2,7 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.graph._
-import repro.nn.{Model, ModelSpec}
+import repro.nn.{Model, ModelSpec, TrainedModel}
 import repro.tables.Tables
 
 class TrainerSpec extends SparkSpec {
@@ -40,10 +40,10 @@ class TrainerSpec extends SparkSpec {
   }
 
   test("edge partitioning on/off produce identical training trajectories") {
-    def run(part: Boolean) = LocalTrainer.train(
+    def run(threads: Int) = LocalTrainer.train(
       tinyEx("train"), Array.empty, spec("gat"),
-      TrainOpts(epochs = 3, batchSize = 64, lr = 0.02, threads = 8, partition = part))
-    val a = run(true); val b = run(false)
+      TrainOpts(epochs = 3, batchSize = 64, lr = 0.02, threads = threads))
+    val a = run(8); val b = run(1)
     assert(a.history.map(_.loss) == b.history.map(_.loss))
   }
 
@@ -182,10 +182,42 @@ class TrainerSpec extends SparkSpec {
   }
 
   test("evaluate on a TrainedModel reproduces in-training evaluation") {
-    val res = LocalTrainer.train(tinyEx("train"), tinyEx("val"), spec("gcn"),
-      TrainOpts(epochs = 5, batchSize = 64, lr = 0.02))
-    val direct = LocalTrainer.evaluate(res.model, tinyEx("val"), 64, 2)
-    assert(math.abs(direct - res.bestVal) < 1e-9)
+    import spark.implicits._
+    // every trainer runs the one epoch loop: validated at epochs 2 and 4 of 5,
+    // and the returned model is the best validated one
+    val opts = TrainOpts(epochs = 5, batchSize = 64, lr = 0.02, evalEvery = 2)
+    val trainDs = spark.createDataset(flat(tinyEx("train").toIndexedSeq))
+    val localEval = (tm: TrainedModel) => LocalTrainer.evaluate(tm, tinyEx("val"), 64, 2)
+    val cases = Seq[(String, () => TrainResult, TrainedModel => Double)](
+      ("LocalTrainer", () => LocalTrainer.train(tinyEx("train"), tinyEx("val"), spec("gcn"), opts), localEval),
+      ("FullGraphTrainer", () => FullGraphTrainer.train(tiny, spec("sage"), opts),
+        FullGraphTrainer.evaluateFull(tiny, _, "val", 2)),
+      ("PsTrainer", () => PsTrainer.train(spark, trainDs, tinyEx("val"), spec("gat"),
+        PsOpts(epochs = 5, batchSize = 64, lr = 0.02, numWorkers = 3, evalEvery = 2)), localEval))
+    for ((name, train, evaluate) <- cases) {
+      val res = train()
+      assert(res.history.map(_.epoch) == (1 to 5), name)
+      val validated = res.history.filter(h => java.lang.Double.isFinite(h.valMetric))
+      assert(validated.map(_.epoch) == Seq(2, 4), name)
+      assert(res.bestVal == validated.map(_.valMetric).max, name)
+      val direct = evaluate(res.model)
+      assert(math.abs(direct - res.bestVal) < 1e-9, s"$name: $direct vs ${res.bestVal}")
+    }
+  }
+
+  test("LocalTrainer on an empty training set fails clearly") {
+    val err = intercept[IllegalArgumentException] {
+      LocalTrainer.train(Array.empty, tinyEx("val"), spec("gcn"), TrainOpts(epochs = 1, batchSize = 8, lr = 0.01))
+    }
+    assert(err.getMessage.contains("LocalTrainer") && err.getMessage.contains("empty"), err.getMessage)
+  }
+
+  test("FullGraphTrainer on a graph without train nodes fails clearly") {
+    val noTrain = tiny.copy(nodes = tiny.nodes.map(n => if (n.split == "train") n.copy(split = "test") else n))
+    val err = intercept[IllegalArgumentException] {
+      FullGraphTrainer.train(noTrain, spec("gcn"), TrainOpts(epochs = 1, batchSize = 0, lr = 0.01))
+    }
+    assert(err.getMessage.contains("FullGraphTrainer") && err.getMessage.contains("empty"), err.getMessage)
   }
 
   test("ModelIO round-trips a trained model") {
