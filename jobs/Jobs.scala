@@ -7,11 +7,9 @@ import repro.tables.Tables
 
 /** Shared SparkSession builder for spark-submit entrypoints and the tests. */
 object JobSession {
-  /** Broadcast joins are off, so joins exercise the shuffle path. Adaptive
-    * execution may coalesce the partitions of persisted Datasets too (the
-    * per-round states of GraphFlat), not only of plain queries; without that
-    * every stage that reads one runs 64 small tasks. GraphInfer's rounds are
-    * RDDs over min(shuffle partitions, defaultParallelism) partitions.
+  /** Broadcast joins are off, so joins exercise the shuffle path. The
+    * GraphFlat and GraphInfer rounds are RDDs over min(shuffle partitions,
+    * defaultParallelism) block partitions.
     */
   def build(name: String): SparkSession =
     SparkSession.builder
@@ -19,7 +17,6 @@ object JobSession {
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .config("spark.sql.optimizer.canChangeCachedPlanOutputPartitioning", true)
       .getOrCreate()
 
   /** Datasets are synthetic and regenerated from their seed by name. */

@@ -15,6 +15,17 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Runs `f` with the given SQL settings, then restores the previous ones. */
+  def withConf[T](kvs: (String, String)*)(f: => T): T = {
+    val saved = kvs.map { case (k, _) => k -> spark.conf.getOption(k) }
+    kvs.foreach { case (k, v) => spark.conf.set(k, v) }
+    try f
+    finally saved.foreach {
+      case (k, Some(v)) => spark.conf.set(k, v)
+      case (k, None)    => spark.conf.unset(k)
+    }
+  }
 }
 
 object SparkSpec {

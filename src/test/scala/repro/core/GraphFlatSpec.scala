@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.SparkException
 import org.apache.spark.sql.Dataset
 import repro.SparkSpec
 import repro.graph._
@@ -184,6 +185,56 @@ class GraphFlatSpec extends SparkSpec {
       assert(m2(id).edges.toSeq == m5(id).edges.toSeq, s"edges of $id")
     }
     assert(m2(8L).edges.length <= 2 * 2 + 1)
+  }
+
+  test("GraphFlat fails when an edge's destination is not a node") {
+    val g = toyGraph(3, Seq((1L, 2L), (2L, 99L), (99L, 3L)))
+    val e = intercept[SparkException](flatMap(spark, g, FlatConfig(2)))
+    assert(e.getMessage.contains("node 99 lost its self message"))
+  }
+
+  test("an edge whose source is not a node is dropped") {
+    val g = toyGraph(3, Seq((9L, 2L), (1L, 2L), (2L, 3L), (9L, 3L)))
+    val m = flatMap(spark, g, FlatConfig(2))
+    assert(m.keySet == Set(1L, 2L, 3L))
+    assert(m(2L).nodes.map(_.id).toSeq == Seq(2L, 1L))
+    assert(edgePairs(m(2L)) == Set((1L, 2L)))
+    assert(m(3L).nodes.map(_.id).toSeq == Seq(3L, 2L, 1L))
+    assert(edgePairs(m(3L)) == Set((1L, 2L), (2L, 3L)))
+  }
+
+  /** A GraphFeature per target, as comparable arrays. */
+  private def arrays(gfs: Iterable[GraphFeature]): Map[Long, (Seq[GNode], Seq[GEdge])] =
+    gfs.map(gf => gf.target -> (gf.nodes.toSeq, gf.edges.toSeq)).toMap
+
+  private lazy val hubGraph = GraphGen.uugLite(n = 300, seed = 4)
+  private val hubCfg = FlatConfig(2, UniformSampling(4), reindexThreshold = 12, numSalts = 4, seed = 13)
+
+  test("GraphFlat output is array-equal at 1, 7 and 64 partitions, coalescing on/off") {
+    // the sampler shuffles with the same partition count; at 64 some blocks are empty
+    def run(partitions: Int, coalesce: Boolean) = withConf(
+        "spark.sql.shuffle.partitions" -> partitions.toString,
+        "spark.sql.adaptive.coalescePartitions.enabled" -> coalesce.toString) {
+      val ds = GraphFlat.runAt(partitions, spark, hubGraph.nodeDs(spark), hubGraph.edgeDs(spark), hubCfg)
+      try arrays(ds.collect()) finally ds.unpersist()
+    }
+    val one = run(1, coalesce = false)
+    assert(one.size == hubGraph.nodes.length)
+    for (partitions <- Seq(1, 7, 64); coalesce <- Seq(false, true))
+      assert(run(partitions, coalesce) == one, s"$partitions partitions, coalescing $coalesce")
+  }
+
+  test("flatExamples decodes to GraphFlat.run restricted to the split, at 1, 7 and 64 partitions") {
+    val all = arrays(flatMap(spark, hubGraph, hubCfg).values)
+    val labelOf = hubGraph.nodes.map(n => n.id -> n.label.toSeq).toMap
+    val trainIds = hubGraph.split("train").map(_.id).toSet
+    for (partitions <- Seq(1, 7, 64)) {
+      val ds = GraphFlat.examplesAt(partitions, spark, hubGraph, hubCfg, "train")
+      val fes = try ds.collect() finally ds.unpersist()
+      assert(fes.map(_.target).sorted.toSeq == trainIds.toSeq.sorted, s"$partitions partitions")
+      fes.foreach(fe => assert(fe.label.toSeq == labelOf(fe.target)))
+      assert(arrays(fes.map(_.decoded.gf)) == all.filter { case (id, _) => trainIds(id) }, s"$partitions partitions")
+    }
   }
 
   test("GraphFlat.run and flatExamples leave only their result cached") {

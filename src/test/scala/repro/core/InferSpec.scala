@@ -125,17 +125,6 @@ class InferSpec extends SparkSpec {
     assert(embAcc.value == 2L * g.nodes.length)
   }
 
-  /** Runs `f` with the given SQL settings, then restores the previous ones. */
-  private def withConf[T](kvs: (String, String)*)(f: => T): T = {
-    val saved = kvs.map { case (k, _) => k -> spark.conf.getOption(k) }
-    kvs.foreach { case (k, v) => spark.conf.set(k, v) }
-    try f
-    finally saved.foreach {
-      case (k, Some(v)) => spark.conf.set(k, v)
-      case (k, None)    => spark.conf.unset(k)
-    }
-  }
-
   /** GraphInfer's scores must equal OriginalInfer's on every node; `partitions`
     * pins GraphInfer's block partition count.
     */
