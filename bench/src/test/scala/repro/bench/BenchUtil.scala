@@ -8,12 +8,19 @@ import java.nio.file.{Files, Paths, StandardOpenOption}
   */
 object BenchUtil {
   def record(name: String, content: String): Unit = {
-    val dir = Paths.get(sys.props.getOrElse("bench.results.dir", "bench/results"))
-    Files.createDirectories(dir)
-    Files.write(dir.resolve(s"$name.txt"), (content + "\n").getBytes(StandardCharsets.UTF_8),
-      StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
+    write(s"$name.txt", content)
     println(s"===== $name =====")
     println(content)
+  }
+
+  /** Writes `json` to `BENCH_<name>.json` next to the table. */
+  def recordJson(name: String, json: String): Unit = write(s"BENCH_$name.json", json)
+
+  private def write(file: String, content: String): Unit = {
+    val dir = Paths.get(sys.props.getOrElse("bench.results.dir", "bench/results"))
+    Files.createDirectories(dir)
+    Files.write(dir.resolve(file), (content + "\n").getBytes(StandardCharsets.UTF_8),
+      StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
   }
 
   /** Benches run at full scale unless BENCH_QUICK=1. */

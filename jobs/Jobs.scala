@@ -47,8 +47,7 @@ object FlatJob {
     val Array(ds, hops, sampling, split, out) = args.take(5)
     val spark = JobSession.build(s"GraphFlat-$ds")
     val g = JobSession.dataset(ds)
-    val cfg = FlatConfig(hops.toInt, JobSession.samplingOf(sampling),
-      reindexThreshold = 100, numSalts = 4, seed = 5)
+    val cfg = FlatConfig(hops.toInt, JobSession.samplingOf(sampling), seed = 5)
     val flat = GraphFlat.flatExamples(spark, g, cfg, split)
     flat.write.mode(SaveMode.Overwrite).parquet(out)
     println(s"wrote ${spark.read.parquet(out).count()} FlatExamples to $out")
@@ -91,8 +90,7 @@ object InferJob {
     import spark.implicits._
     val g = JobSession.dataset(ds)
     val tm = ModelIO.load(modelPath)
-    val cfg = FlatConfig(tm.spec.layers, JobSession.samplingOf(sampling),
-      reindexThreshold = 100, numSalts = 4, seed = 5)
+    val cfg = FlatConfig(tm.spec.layers, JobSession.samplingOf(sampling), seed = 5)
     val scores = GraphInfer.inferScores(spark, g.nodeDs(spark), g.edgeDs(spark), tm, cfg)
     scores.toDF("id", "scores").write.mode(SaveMode.Overwrite).parquet(out)
     println(s"wrote ${spark.read.parquet(out).count()} score rows to $out")

@@ -11,9 +11,13 @@ import repro.graph._
   *
   * Nodes are hash-partitioned on id into one block per partition. Set-up
   * caches, per partition, the initial state block of its nodes (ascending
-  * id), the sampled in-edges into its nodes sorted by (dst, order), which is
-  * the merge order of `GraphFlat.sampledInEdges`, and a route table: for
-  * every other partition, the rows of this one it reads. A round ships each
+  * id), the sampled in-edges into its nodes sorted by (dst, src, −weight),
+  * which is the merge order, and a route table: for every other partition,
+  * the rows of this one it reads. The in-edges take one shuffle: each input
+  * partition keeps every destination's `Sampling.sample`, the edges move to
+  * their destination's partition, and the partition keeps the sample of what
+  * it received, which is the sample of all of a node's in-edges because
+  * samples merge. A round ships each
   * routed row once to each partition that reads it, one packed block per
   * (source, destination) partition pair, as GraphX routes replicated
   * vertices; each partition then merges locally.
@@ -39,7 +43,7 @@ private[core] object Blocks {
   def defaultPartitions(spark: SparkSession): Int =
     math.min(spark.conf.get("spark.sql.shuffle.partitions").toInt, spark.sparkContext.defaultParallelism)
 
-  /** A partition's sampled in-edges, sorted by (dst, order). */
+  /** A partition's sampled in-edges, sorted by (dst, src, −weight). */
   case class InEdges(edges: Array[GEdge])
 
   /** Rows of a source partition's block that partition `to` reads. */
@@ -85,12 +89,11 @@ private[core] object Blocks {
       .partitionBy(part)
       .mapPartitions(it => Iterator(init(it.map(_._2).toArray.sortBy(_.id))))
       .persist(StorageLevel.MEMORY_AND_DISK)
-    val inEdges = GraphFlat.sampledInEdges(edges, cfg).rdd
-      .map(in => (in.edge.dst, in))
+    val FlatConfig(_, sampling, _, _, seed) = cfg
+    val inEdges = edges.rdd
+      .mapPartitions(it => Sampling.sample(it.toArray, sampling, seed).iterator.map(e => (e.dst, e)))
       .partitionBy(part)
-      .mapPartitions { it =>
-        Iterator(InEdges(it.map(_._2).toArray.sortBy(in => (in.edge.dst, in.order)).map(_.edge)))
-      }
+      .mapPartitions(it => Iterator(InEdges(Sampling.sample(it.map(_._2).toArray, sampling, seed))))
       .persist(StorageLevel.MEMORY_AND_DISK)
     // the sorted ids each partition reads from each other partition
     val wanted = inEdges.mapPartitionsWithIndex { (to, it) =>

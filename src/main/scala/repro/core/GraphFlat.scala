@@ -11,10 +11,13 @@ import repro.graph._
   * process data identically — §3.4).
   *
   * @param k                 number of hops / Reduce rounds
-  * @param sampling          in-edge sampling strategy (per node, per salt)
-  * @param reindexThreshold  in-degree above which a node is a "hub" whose
-  *                          in-edges are grouped by salt (re-indexing, §3.2.2)
-  * @param numSalts          number of random suffixes for hub keys
+  * @param sampling          in-edge sampling strategy (per node)
+  * @param reindexThreshold  in-degree above which [[GraphFlat.hubIds]] reports
+  *                          a node as a hub; it changes neither the output
+  *                          nor the work, since re-indexing is the sampler's
+  *                          map-side combine (see [[Sampling]])
+  * @param numSalts          no longer used: it changes neither the output nor
+  *                          the work
   * @param seed              seed for deterministic sampling
   */
 case class FlatConfig(
@@ -28,10 +31,10 @@ case class FlatConfig(
 /** GraphFlat (§3.2): the distributed K-hop neighborhood generator, expressed
   * as Spark shuffles instead of raw Hadoop MapReduce.
   *
-  * The sampler does not depend on the round, so it runs once per call
-  * ([[sampledInEdges]]); this is also the only place that sees a hub's whole
-  * in-degree, and where re-indexing splits it by salt. The K rounds
-  * ("Reduce phase") then only follow the sample, over [[Blocks]]: a block is
+  * The sampler does not depend on the round, so it runs once per call, in
+  * the set-up of [[Blocks]], whose map-side combine keeps any reducer from
+  * seeing a hub's whole in-degree (re-indexing, see [[Sampling]]). The K
+  * rounds ("Reduce phase") then only follow the sample: a block is
   * the self information (the accumulated subgraph) of one partition's nodes,
   * held as node ids plus edges, and the features of every node id in it.
   *   - every partition ships the states of the nodes another partition reads
@@ -39,7 +42,7 @@ case class FlatConfig(
   *     once ("propagation");
   *   - every partition merges, for each of its nodes, the node's previous
   *     state first, then the state of each sampled in-edge's source plus the
-  *     edge, in the order of [[InEdge.order]] ("merging").
+  *     edge, in ascending (src, −weight) ("merging").
   * Set-up and each round end with one `count`, and the call with one more.
   *
   * After K rounds, each node's self information *is* its K-hop neighborhood;
@@ -47,12 +50,6 @@ case class FlatConfig(
   * (and optionally an encoded string).
   */
 object GraphFlat {
-
-  /** A sampled in-edge of `edge.dst`. A node merges the states of its
-    * sampled in-edges by ascending `order`: by salt, then in the order
-    * `Sampling.selectGroup` returned them.
-    */
-  case class InEdge(edge: GEdge, order: Long)
 
   /** The states of some nodes: node `ids(i)` has gathered the node ids
     * `nodes(i)` and the edges `edges(i)`, each in merge order. `feats` holds
@@ -76,7 +73,9 @@ object GraphFlat {
     }
   }
 
-  /** Ids of nodes whose in-degree exceeds the re-indexing threshold. */
+  /** Ids of nodes whose in-degree exceeds the re-indexing threshold: a
+    * report of the graph's skew, off the call path of [[run]].
+    */
   def hubIds(edges: Dataset[GEdge], cfg: FlatConfig): Set[Long] = {
     if (cfg.reindexThreshold == Int.MaxValue) Set.empty
     else {
@@ -89,25 +88,6 @@ object GraphFlat {
         .collect()
         .toSet
     }
-  }
-
-  /** Every node's sampled in-edges, the same subset `Sampling.selectInEdges`
-    * keeps in any round: in-edges are grouped by (dst, salt of src) for hubs
-    * and (dst, 0) otherwise, and each group is sampled with (seed, dst, salt).
-    * A hub therefore keeps at most `numSalts × cap` in-edges. Only the hub
-    * set is computed here; the sample itself is lazy.
-    */
-  def sampledInEdges(edges: Dataset[GEdge], cfg: FlatConfig): Dataset[InEdge] = {
-    import edges.sparkSession.implicits._
-    val hubs = edges.sparkSession.sparkContext.broadcast(hubIds(edges, cfg))
-    val FlatConfig(_, sampling, _, numSalts, seed) = cfg
-    edges
-      .groupByKey(e => (e.dst, if (hubs.value.contains(e.dst)) Sampling.saltOf(e.src, numSalts) else 0))
-      .flatMapGroups { (key: (Long, Int), it: Iterator[GEdge]) =>
-        val (dst, salt) = key
-        Sampling.selectGroup[GEdge](it.toArray.toSeq, _.src, _.weight.toDouble, sampling, seed, dst, salt)
-          .iterator.zipWithIndex.map { case (e, rank) => InEdge(e, (salt.toLong << 32) | rank) }
-      }
   }
 
   /** Run the pipeline; returns every node's K-hop neighborhood. Restrict to

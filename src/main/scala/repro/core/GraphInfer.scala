@@ -20,9 +20,9 @@ import repro.nn.{GnnLayer, Model, TrainedModel}
   * prediction slice. Every node's intermediate embedding is computed exactly
   * once — no overlap-induced recomputation.
   *
-  * Messages follow `GraphFlat.sampledInEdges` (same seed, same hub set) and
-  * are aggregated in GraphFlat's merge order, so inference sees precisely the
-  * neighborhoods the model was trained on.
+  * Messages follow GraphFlat's sample (the same `Blocks` set-up and seed)
+  * and are aggregated in GraphFlat's merge order, so inference sees
+  * precisely the neighborhoods the model was trained on.
   *
   * The rounds run over [[Blocks]], hash-partitioned on node id into
   * `min(spark.sql.shuffle.partitions, defaultParallelism)` partitions; a

@@ -1,109 +1,113 @@
 package repro.core
 
-import scala.util.Random
-import scala.util.hashing.byteswap64
+import repro.graph.GEdge
 
 /** Neighbor-sampling strategies for GraphFlat (§3.2.2).
   *
-  * `select` returns the chosen candidate indices out of `n`, given a weight
-  * accessor. Selection is driven by an explicit RNG so it is deterministic in
-  * (seed, nodeId, salt) — crucially *independent of the round*. GraphFlat
-  * therefore samples every node's in-edges once per call
-  * (`GraphFlat.sampledInEdges`) and all K rounds follow that sample, so the
-  * K-hop neighborhood's in-edge set per node is the sample; GraphInfer
-  * propagates along the same sample and sees exactly the neighborhoods
-  * training did (the paper's "consistence of data processing" in §3.4, made
-  * exact).
+  * A strategy gives every in-edge src → dst a key that depends only on
+  * (seed, dst, src, weight). A node's sample is its `cap` in-edges that come
+  * first in (key, src, −weight, edge features), a total order, so neither
+  * the round, the partitioning nor the shuffle's arrival order can change
+  * it. These are bottom-k sketches (Cohen & Kaplan, PODC 2007): the sample
+  * of a union is the sample of the union of each part's sample, so
+  * [[Blocks]] keeps a node's sample inside each input partition before the
+  * shuffle and again after it. That map-side combine is AGL's re-indexing:
+  * no reducer receives more than `cap` of a hub's in-edges per input
+  * partition, and a hub keeps exactly `cap` in-edges like any other node.
+  *
+  * GraphFlat's K rounds and GraphInfer follow the same sample, so inference
+  * sees exactly the neighborhoods training did (the paper's "consistence of
+  * data processing" in §3.4, made exact).
   */
 sealed trait SamplingStrategy extends Serializable {
-  def select(n: Int, weight: Int => Double, rng: Random): Array[Int]
+
+  /** The most in-edges a node keeps. */
+  def cap: Int
+
+  /** The key of the in-edge src → dst of weight `w`; smaller keys are kept. */
+  def key(seed: Long, dst: Long, src: Long, w: Double): Double
 }
 
 /** Keep every in-edge (the default for small graphs / correctness tests). */
 case object NoSampling extends SamplingStrategy {
-  def select(n: Int, weight: Int => Double, rng: Random): Array[Int] = Array.range(0, n)
+  def cap: Int = Int.MaxValue
+  def key(seed: Long, dst: Long, src: Long, w: Double): Double = 0.0
 }
 
-/** Uniformly keep at most `cap` in-edges. */
+/** Uniformly keep at most `cap` in-edges: the key is a hash of (seed, dst, src). */
 final case class UniformSampling(cap: Int) extends SamplingStrategy {
-  def select(n: Int, weight: Int => Double, rng: Random): Array[Int] =
-    if (n <= cap) Array.range(0, n)
-    else rng.shuffle(List.range(0, n)).take(cap).sorted.toArray
+  def key(seed: Long, dst: Long, src: Long, w: Double): Double = Sampling.unit(seed, dst, src)
 }
 
-/** Weighted sampling without replacement (Efraimidis–Spirakis keys):
-  * keep the `cap` candidates with the largest u^(1/w).
+/** Weighted sampling without replacement (Efraimidis–Spirakis): the key
+  * −ln(u)/w keeps the same in-edges as the largest u^(1/w).
   */
 final case class WeightedSampling(cap: Int) extends SamplingStrategy {
-  def select(n: Int, weight: Int => Double, rng: Random): Array[Int] =
-    if (n <= cap) Array.range(0, n)
-    else {
-      val keys = Array.tabulate(n) { i =>
-        val w = math.max(weight(i), 1e-9)
-        (math.pow(rng.nextDouble(), 1.0 / w), i)
-      }
-      keys.sortBy(-_._1).take(cap).map(_._2).sorted
-    }
+  def key(seed: Long, dst: Long, src: Long, w: Double): Double =
+    -math.log(Sampling.unit(seed, dst, src)) / math.max(w, 1e-9)
 }
 
 /** Deterministically keep the `cap` heaviest in-edges. */
 final case class TopKSampling(cap: Int) extends SamplingStrategy {
-  def select(n: Int, weight: Int => Double, rng: Random): Array[Int] =
-    if (n <= cap) Array.range(0, n)
-    else Array.range(0, n).sortBy(i => (-weight(i), i)).take(cap).sorted
+  def key(seed: Long, dst: Long, src: Long, w: Double): Double = -w
 }
 
 object Sampling {
-  /** Stable salt assignment for re-indexing: which partial reducer a message
-    * from `src` lands on when its destination is a hub.
-    */
-  def saltOf(src: Long, numSalts: Int): Int =
-    (((byteswap64(src) % numSalts) + numSalts) % numSalts).toInt
 
-  /** Deterministic RNG per (seed, node, salt) — round-independent on purpose. */
-  def rngFor(seed: Long, nodeId: Long, salt: Int): Random =
-    new Random(byteswap64(seed ^ byteswap64(nodeId * 1315423911L + salt)))
+  /** A hash of (seed, dst, src) mapped into the open interval (0, 1). */
+  def unit(seed: Long, dst: Long, src: Long): Double =
+    ((mix(mix(mix(seed) ^ dst) ^ src) >>> 11) + 0.5) / (1L << 53).toDouble
 
-  /** Canonical in-edge selection for node `nodeId`: sort candidates by
-    * (src, -weight), then apply the strategy per salt group (salt 0 only for
-    * non-hub nodes; hash-of-src salting for hubs, mirroring re-indexing), in
-    * salt order. `GraphFlat.sampledInEdges` computes the same selection one
-    * (node, salt) group at a time.
+  /** SplitMix64's finalizer. */
+  private def mix(x: Long): Long = {
+    val a = (x ^ (x >>> 30)) * 0xbf58476d1ce4e5b9L
+    val b = (a ^ (a >>> 27)) * 0x94d049bb133111ebL
+    b ^ (b >>> 31)
+  }
+
+  /** The merge order of a node's in-edges: ascending (src, −weight), then
+    * the edge features.
     */
-  def selectInEdges[T](
-      cands: Seq[T],
-      srcOf: T => Long,
-      weightOf: T => Double,
-      strategy: SamplingStrategy,
-      seed: Long,
-      nodeId: Long,
-      isHub: Boolean,
-      numSalts: Int
-  ): Seq[T] = {
-    if (!isHub) selectGroup(cands, srcOf, weightOf, strategy, seed, nodeId, 0)
+  private def mergeOrder(a: GEdge, b: GEdge): Int = {
+    val c = java.lang.Long.compare(a.src, b.src)
+    if (c != 0) c
     else {
-      cands
-        .groupBy(c => saltOf(srcOf(c), numSalts))
-        .toSeq
-        .sortBy(_._1)
-        .flatMap { case (salt, group) =>
-          selectGroup(group, srcOf, weightOf, strategy, seed, nodeId, salt)
-        }
+      val w = java.lang.Float.compare(b.weight, a.weight)
+      if (w != 0) w else java.util.Arrays.compare(a.feat, b.feat)
     }
   }
 
-  /** One salt group: canonical order, then strategy selection. */
-  def selectGroup[T](
-      group: Seq[T],
-      srcOf: T => Long,
-      weightOf: T => Double,
-      strategy: SamplingStrategy,
-      seed: Long,
-      nodeId: Long,
-      salt: Int
-  ): Seq[T] = {
-    val sorted = group.sortBy(c => (srcOf(c), -weightOf(c)))
-    val idx = strategy.select(sorted.length, i => weightOf(sorted(i)), rngFor(seed, nodeId, salt))
-    idx.toIndexedSeq.map(sorted)
+  private val byDstThenMerge: java.util.Comparator[GEdge] = { (a, b) =>
+    val c = java.lang.Long.compare(a.dst, b.dst)
+    if (c != 0) c else mergeOrder(a, b)
+  }
+
+  private final class Keyed(val e: GEdge, val key: Double)
+
+  private val byDstThenKey: java.util.Comparator[Keyed] = { (a, b) =>
+    val c = java.lang.Long.compare(a.e.dst, b.e.dst)
+    if (c != 0) c
+    else {
+      val k = java.lang.Double.compare(a.key, b.key)
+      if (k != 0) k else mergeOrder(a.e, b.e)
+    }
+  }
+
+  /** The sample of every destination among `edges`, sorted by (dst, merge
+    * order). Samples merge: the sample of the concatenated samples of any
+    * split of `edges` is the sample of `edges`.
+    */
+  def sample(edges: Array[GEdge], strategy: SamplingStrategy, seed: Long): Array[GEdge] = {
+    val kept =
+      if (strategy.cap == Int.MaxValue) edges.clone()
+      else {
+        val keyed = edges.map(e => new Keyed(e, strategy.key(seed, e.dst, e.src, e.weight)))
+        java.util.Arrays.sort(keyed, byDstThenKey)
+        // keyed(i) is among the first `cap` of its destination
+        val cap = strategy.cap
+        keyed.indices.iterator.filter(i => i < cap || keyed(i - cap).e.dst != keyed(i).e.dst).map(keyed(_).e).toArray
+      }
+    java.util.Arrays.sort(kept, byDstThenMerge)
+    kept
   }
 }

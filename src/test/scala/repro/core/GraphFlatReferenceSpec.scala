@@ -4,12 +4,13 @@ import repro.SparkSpec
 import repro.graph._
 
 /** GraphFlat against a plain-Scala reference: K rounds of the K-hop closure
-  * on the driver, each node sampling its in-edges with
-  * `Sampling.selectInEdges` and merging its own state first, then each
-  * sampled in-neighbor's state plus the connecting edge, in selection order
-  * (first occurrence of a node id or an edge (src, dst) wins). GraphFlat must
-  * produce the same arrays, not only the same sets, so that training sees
-  * the same input order on every run.
+  * on the driver, each node keeping the `cap` in-edges of smallest
+  * (`SamplingStrategy.key`, src, −weight) out of all its in-edges and
+  * merging its own state first, then each sampled in-neighbor's state plus
+  * the connecting edge, in ascending (src, −weight) (first occurrence of a
+  * node id or an edge (src, dst) wins). GraphFlat must produce the same
+  * arrays, not only the same sets, so that training sees the same input
+  * order on every run.
   */
 class GraphFlatReferenceSpec extends SparkSpec {
 
@@ -17,11 +18,11 @@ class GraphFlatReferenceSpec extends SparkSpec {
   private val threshold = 12
 
   private def reference(g: LocalGraph, cfg: FlatConfig): Map[Long, GraphFeature] = {
-    val byDst = g.edges.toSeq.groupBy(_.dst)
-    val hubs = byDst.filter(_._2.length > cfg.reindexThreshold).keySet
-    val sampled = byDst.map { case (dst, es) =>
-      dst -> Sampling.selectInEdges[GEdge](es, _.src, _.weight.toDouble, cfg.sampling, cfg.seed, dst,
-        isHub = hubs(dst), numSalts = cfg.numSalts)
+    val FlatConfig(_, sampling, _, _, seed) = cfg
+    val sampled = g.edges.toSeq.groupBy(_.dst).map { case (dst, es) =>
+      dst -> es.sortBy(e => (sampling.key(seed, dst, e.src, e.weight), e.src, -e.weight))
+        .take(sampling.cap)
+        .sortBy(e => (e.src, -e.weight))
     }
     var state = g.nodes.map(n => n.id -> GraphFeature(n.id, Array(GNode(n.id, n.feat)), Array.empty)).toMap
     for (_ <- 1 to cfg.k) {

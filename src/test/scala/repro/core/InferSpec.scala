@@ -114,6 +114,21 @@ class InferSpec extends SparkSpec {
     assert(run(64, coalesce = false) == one)
   }
 
+  test("GraphInfer scores are bit-equal for every numSalts and reindexThreshold") {
+    val tm = randomTm("gat", 2, 22)
+    for (sampling <- Seq(UniformSampling(3), WeightedSampling(3))) {
+      def run(cfg: FlatConfig): Map[Long, Seq[Double]] = {
+        val ds = GraphInfer.inferScores(spark, g.nodeDs(spark), g.edgeDs(spark), tm, cfg)
+        try ds.collect().map { case (id, s) => id -> s.toSeq }.toMap finally ds.unpersist()
+      }
+      val one = run(FlatConfig(2, sampling, seed = 12))
+      for (numSalts <- Seq(1, 4, 16); threshold <- Seq(0, 5, Int.MaxValue)) {
+        val cfg = FlatConfig(2, sampling, reindexThreshold = threshold, numSalts = numSalts, seed = 12)
+        assert(run(cfg) == one, cfg.toString)
+      }
+    }
+  }
+
   test("GraphInfer counts one embedding per node and layer") {
     val tm = randomTm("sage", 2, 3)
     val cfg = FlatConfig(2, UniformSampling(5), reindexThreshold = 20, numSalts = 4, seed = 11)

@@ -2,25 +2,30 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
+import repro.graph.GEdge
 
 class SamplingSpec extends AnyFunSuite {
 
-  case class C(src: Long, w: Double)
-  private def cands(n: Int, seed: Long): Seq[C] = {
+  private val strategies = Seq(NoSampling, UniformSampling(5), WeightedSampling(5), TopKSampling(5))
+
+  /** `n` in-edges of `dst` from random sources with weights in [0.1, 1.1). */
+  private def cands(n: Int, seed: Long, dst: Long = 9L): Seq[GEdge] = {
     val rng = new Random(seed)
-    (0 until n).map(i => C(rng.nextLong().abs, 0.1 + rng.nextDouble()))
+    Seq.fill(n)(GEdge(rng.nextLong().abs, dst, (0.1 + rng.nextDouble()).toFloat, Array(rng.nextFloat())))
   }
+
+  private def sample(es: Seq[GEdge], s: SamplingStrategy, seed: Long = 5L): Seq[GEdge] =
+    Sampling.sample(es.toArray, s, seed).toSeq
 
   test("NoSampling keeps everything") {
     val cs = cands(17, 1)
-    val sel = Sampling.selectInEdges[C](cs, _.src, _.w, NoSampling, 5L, 9L, isHub = false, 4)
-    assert(sel.map(_.src).sorted == cs.map(_.src).sorted)
+    assert(sample(cs, NoSampling) == cs.sortBy(e => (e.src, -e.weight)))
   }
 
   test("UniformSampling caps the selection") {
     for (n <- Seq(3, 10, 50)) {
       val cs = cands(n, n)
-      val sel = Sampling.selectInEdges[C](cs, _.src, _.w, UniformSampling(5), 5L, 9L, isHub = false, 4)
+      val sel = sample(cs, UniformSampling(5))
       assert(sel.length == math.min(n, 5))
       assert(sel.toSet.subsetOf(cs.toSet))
     }
@@ -28,68 +33,51 @@ class SamplingSpec extends AnyFunSuite {
 
   test("selection is deterministic in (seed, node) and order-independent") {
     val cs = cands(30, 2)
-    val a = Sampling.selectInEdges[C](cs, _.src, _.w, UniformSampling(7), 5L, 9L, isHub = false, 4)
-    val b = Sampling.selectInEdges[C](new Random(0).shuffle(cs.toList), _.src, _.w,
-      UniformSampling(7), 5L, 9L, isHub = false, 4)
-    assert(a.map(_.src).sorted == b.map(_.src).sorted)
-    val c = Sampling.selectInEdges[C](cs, _.src, _.w, UniformSampling(7), 5L, 10L, isHub = false, 4)
-    assert(a.map(_.src).sorted != c.map(_.src).sorted || a.length == cs.length)
+    val a = sample(cs, UniformSampling(7))
+    assert(a == sample(new Random(0).shuffle(cs), UniformSampling(7)))
+    val other = cs.map(_.copy(dst = 10L))
+    assert(a.map(_.src) != sample(other, UniformSampling(7)).map(_.src))
   }
 
   test("different seeds generally select different subsets") {
     val cs = cands(40, 3)
-    val a = Sampling.selectInEdges[C](cs, _.src, _.w, UniformSampling(10), 1L, 9L, isHub = false, 4)
-    val b = Sampling.selectInEdges[C](cs, _.src, _.w, UniformSampling(10), 2L, 9L, isHub = false, 4)
-    assert(a.map(_.src).toSet != b.map(_.src).toSet)
+    assert(sample(cs, UniformSampling(10), 1L).toSet != sample(cs, UniformSampling(10), 2L).toSet)
   }
 
   test("TopKSampling keeps the heaviest candidates") {
-    val cs = (0 until 10).map(i => C(i.toLong, i.toDouble))
-    val sel = Sampling.selectInEdges[C](cs, _.src, _.w, TopKSampling(3), 5L, 9L, isHub = false, 4)
-    assert(sel.map(_.w).toSet == Set(9.0, 8.0, 7.0))
+    val cs = (0 until 10).map(i => GEdge(i.toLong, 9L, i.toFloat, Array.empty))
+    assert(sample(cs, TopKSampling(3)).map(_.weight).toSet == Set(9f, 8f, 7f))
   }
 
   test("WeightedSampling favors heavy candidates in aggregate") {
     // one heavy item among many light ones: should be picked almost always
-    val cs = C(999L, 100.0) +: (0 until 20).map(i => C(i.toLong, 0.01))
     val picks = (0 until 200).count { node =>
-      Sampling.selectInEdges[C](cs, _.src, _.w, WeightedSampling(3), 5L, node.toLong,
-        isHub = false, 4).exists(_.src == 999L)
+      val cs = GEdge(999L, node.toLong, 100f, Array.empty) +:
+        (0 until 20).map(i => GEdge(i.toLong, node.toLong, 0.01f, Array.empty))
+      sample(cs, WeightedSampling(3)).exists(_.src == 999L)
     }
     assert(picks > 180, s"heavy item picked only $picks/200 times")
   }
 
-  test("hub selection partitions by salt and caps per salt") {
-    val cs = cands(200, 4)
-    val sel = Sampling.selectInEdges[C](cs, _.src, _.w, UniformSampling(5), 5L, 9L,
-      isHub = true, numSalts = 4)
-    assert(sel.length <= 4 * 5)
-    assert(sel.length >= 5) // at least one salt group is full
-    // per-salt determinism: same call gives same result
-    val sel2 = Sampling.selectInEdges[C](cs, _.src, _.w, UniformSampling(5), 5L, 9L,
-      isHub = true, numSalts = 4)
-    assert(sel.map(_.src) == sel2.map(_.src))
-  }
-
-  test("hub and non-hub selection agree when nothing is dropped") {
-    val cs = cands(6, 5)
-    val hub = Sampling.selectInEdges[C](cs, _.src, _.w, NoSampling, 5L, 9L, isHub = true, 4)
-    val normal = Sampling.selectInEdges[C](cs, _.src, _.w, NoSampling, 5L, 9L, isHub = false, 4)
-    assert(hub.map(_.src).sorted == normal.map(_.src).sorted)
-  }
-
-  test("saltOf is stable and in range") {
-    for (s <- -5L to 5L; n <- Seq(1, 4, 8)) {
-      val v = Sampling.saltOf(s, n)
-      assert(v >= 0 && v < n)
-      assert(v == Sampling.saltOf(s, n))
+  test("a hub keeps exactly cap edges, in merge order") {
+    for (s <- strategies.tail) {
+      val sel = sample(cands(200, 4), s)
+      assert(sel.length == s.cap, s.toString)
+      assert(sel == sel.sortBy(e => (e.src, -e.weight)), s.toString)
     }
   }
 
-  test("rngFor is reproducible") {
-    val a = Sampling.rngFor(1, 2, 3).nextLong()
-    val b = Sampling.rngFor(1, 2, 3).nextLong()
-    val c = Sampling.rngFor(1, 2, 4).nextLong()
-    assert(a == b && a != c)
+  test("bottom-cap samples merge for every strategy") {
+    // part of the candidates share a source and a weight, so the tie-break on features is exercised
+    val rng = new Random(6)
+    for (s <- strategies; trial <- 0 until 50) {
+      val dsts = Array.fill(1 + rng.nextInt(3))(rng.nextInt(100).toLong)
+      val base = dsts.flatMap(d => cands(rng.nextInt(40), rng.nextLong(), d))
+      val cs = base ++ base.take(rng.nextInt(5)).map(e => e.copy(feat = Array(rng.nextFloat())))
+      val parts = Array.fill(1 + rng.nextInt(8))(Array.newBuilder[GEdge])
+      rng.shuffle(cs.toSeq).foreach(e => parts(rng.nextInt(parts.length)) += e)
+      val merged = rng.shuffle(parts.toSeq.flatMap(p => sample(p.result().toSeq, s)))
+      assert(sample(merged, s) == sample(cs.toSeq, s), s"$s, trial $trial")
+    }
   }
 }
